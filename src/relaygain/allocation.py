@@ -11,14 +11,16 @@ partner decodes, so h13 drops out) of
     (k+1) * beta * ln(1 + h12*eps/beta) = (1 - beta) * ln(1 + h23*k*eps/(1 - beta)).
 
 Both residuals are strictly increasing with a sign change across (0, 1),
-which justifies plain bisection. The residual is the single equivalent
-form k*R1(beta) - R2(1-beta) = 0, avoiding the redundant (k+1) factors.
+which justifies plain bisection. The two are one residual
+
+    kappa * beta * ln(1 + h_first*eps/beta) - (1 - beta) * ln(1 + h23*k*eps/(1 - beta))
+
+with kappa = k, h_first = h13 for NCP and kappa = k + 1, h_first = h12 for CP.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .errors import ValidationError
 from .model import Allocation, GainReport, LinkGains, OperatingPoint, Protocol
@@ -32,12 +34,16 @@ _BETA_HI = 1.0 - 1e-15
 _BETA_TOL = 1e-14
 
 
-def _solve_share(residual: Callable[[float], float]) -> float:
+def _allocate(protocol: Protocol, h_first: float, h23: float, op: OperatingPoint) -> Allocation:
+    eps, k = op.epsilon, op.k
+    kappa = k if protocol is Protocol.NCP else k + 1.0
+
+    def residual(b: float) -> float:
+        return kappa * b * math.log1p(h_first * eps / b) - (1.0 - b) * math.log1p(h23 * k * eps / (1.0 - b))
+
     bracket = Bracket.scan(residual, _BETA_LO, _BETA_HI)
-    return solve_monotone(residual, bracket, abs_tol=_BETA_TOL)
-
-
-def _allocation(protocol: Protocol, beta: float, base_rate: float, k: float) -> Allocation:
+    beta = solve_monotone(residual, bracket, abs_tol=_BETA_TOL)
+    base_rate = beta * math.log1p(h_first * eps / beta)
     rate2 = k * base_rate
     return Allocation(protocol, beta, base_rate, rate2, base_rate + rate2)
 
@@ -45,27 +51,13 @@ def _allocation(protocol: Protocol, beta: float, base_rate: float, k: float) -> 
 def ncp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     """Optimal NCP allocation; both users transmit directly to the destination."""
     gains.require_alive("h13", "h23")
-    h13, h23, eps, k = gains.h13, gains.h23, op.epsilon, op.k
-
-    def residual(b: float) -> float:
-        return k * b * math.log1p(h13 * eps / b) - (1.0 - b) * math.log1p(h23 * k * eps / (1.0 - b))
-
-    beta = _solve_share(residual)
-    base_rate = beta * math.log1p(h13 * eps / beta)
-    return _allocation(Protocol.NCP, beta, base_rate, k)
+    return _allocate(Protocol.NCP, gains.h13, gains.h23, op)
 
 
 def cp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     """Optimal CP allocation; the partner re-encodes and forwards both messages."""
     gains.require_alive("h12", "h23")
-    h12, h23, eps, k = gains.h12, gains.h23, op.epsilon, op.k
-
-    def residual(b: float) -> float:
-        return (k + 1.0) * b * math.log1p(h12 * eps / b) - (1.0 - b) * math.log1p(h23 * k * eps / (1.0 - b))
-
-    beta = _solve_share(residual)
-    base_rate = beta * math.log1p(h12 * eps / beta)
-    return _allocation(Protocol.CP, beta, base_rate, k)
+    return _allocate(Protocol.CP, gains.h12, gains.h23, op)
 
 
 def collaboration_gain(gains: LinkGains, op: OperatingPoint) -> GainReport:

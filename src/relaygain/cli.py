@@ -17,10 +17,10 @@ import sys
 from .allocation import collaboration_gain, cp_allocate, ncp_allocate
 from .bounds import (cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
                      low_tern_gain_limit, ncp_bounds_high_tern, ncp_bounds_low_tern)
-from .energy import energy_gain, min_tern, resource_usage
+from .energy import min_tern, resource_usage
 from .errors import RelayGainError, ValidationError
-from .geometry import (SWEEP_KINDS, max_geometric_gain, optimal_relay_location,
-                       sweep, sweep_columns)
+from .geometry import (SWEEP_KINDS, SWEEP_PARAMETERS, max_geometric_gain,
+                       optimal_relay_location, sweep, sweep_columns)
 from .model import Allocation, Protocol
 from .scenario import load_scenario
 from .selection import evaluate_network, select_relay_rate, select_relay_resource
@@ -86,7 +86,7 @@ def cmd_energy(args) -> int:
     rate = _require_rate(sc)
     ncp = min_tern(Protocol.NCP, sc.gains, sc.operating.k, rate)
     cp = min_tern(Protocol.CP, sc.gains, sc.operating.k, rate)
-    gain = energy_gain(sc.gains, sc.operating.k, rate)
+    gain = ncp.epsilon_min / cp.epsilon_min
     payload = {"rate": rate,
                "ncp": {"epsilon_min": ncp.epsilon_min, "beta": ncp.beta},
                "cp": {"epsilon_min": cp.epsilon_min, "beta": cp.beta},
@@ -205,18 +205,13 @@ def cmd_placement(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_FLAGS = ("x_min", "x_max", "x_step", "y_min", "y_max", "y_step",
-                "d_min", "d_max", "d_step", "k_min", "k_max", "k_step",
-                "d", "epsilon", "k", "eta", "rate")
-
-
 def cmd_sweep(args) -> int:
-    params = {name: getattr(args, name) for name in _SWEEP_FLAGS
+    params = {name: getattr(args, name) for name in SWEEP_PARAMETERS
               if getattr(args, name) is not None}
     records = sweep(args.kind, params)
     columns = sweep_columns(args.kind)
-    n_coords = 2 if args.kind == "plane_gain" else 1
-    extra_names = columns[n_coords + 1:-2]
+    # columns: coordinates, value, extras, feasible, degenerate
+    extra_names = columns[len(records[0].coords) + 1:-2]
     rows = []
     for rec in records:
         row = [_fmt(c) for c in rec.coords]
@@ -278,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a parameter sweep and write CSV")
     p.add_argument("--kind", choices=SWEEP_KINDS, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    for flag in _SWEEP_FLAGS:
+    for flag in SWEEP_PARAMETERS:
         p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
                        dest=flag)
     p.set_defaults(func=cmd_sweep)

@@ -133,10 +133,8 @@ def resource_usage(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rat
     if not rate < bound:
         raise InfeasibleRateError(protocol.value, rate, bound)
     k, eps = op.k, op.epsilon
+    # under CP the partner's slot also carries the re-encoded source message
+    kappa = k if protocol is Protocol.NCP else k + 1.0
     beta1 = _solve_slot(h_first, eps, rate)
-    if protocol is Protocol.NCP:
-        beta2 = _solve_slot(h23, k * eps, k * rate)
-    else:
-        # the partner's slot carries its own data plus the re-encoded source message
-        beta2 = _solve_slot(h23, k * eps, (k + 1.0) * rate)
+    beta2 = _solve_slot(h23, k * eps, kappa * rate)
     return ResourceUsage(protocol, beta1, beta2, beta1 + beta2)

@@ -6,16 +6,21 @@ h13 = 1. For a collinear relay at distance d from the source the maximal
 low-TERN collaboration gain over d is (1 + (k/(k+1))^(1/eta))^eta,
 attained at d* = 1/(1 + (k/(k+1))^(1/eta)).
 
-Sweeps evaluate a full cartesian grid in deterministic row-major order
-(first coordinate outer); symmetric ranges are mirrored exactly so that
-records at (x, y) and (x, -y) are bitwise identical.
+Each sweep kind is one table entry: grid axes, fixed parameters, a point
+evaluator (rate, resource or energy) and its CSV columns. One loop walks
+the cartesian grid in row-major order (first axis outer), and for every
+kind flags a point degenerate, without evaluating it, when the relay
+sits on an endpoint or a gain exceeds OVERFLOW_GAIN. Symmetric ranges
+are mirrored exactly so that records at (x, y) and (x, -y) are bitwise
+identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .allocation import cp_allocate, ncp_allocate
 from .energy import feasible, min_tern, resource_usage
@@ -118,166 +123,121 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
-def _gain_point(gains: LinkGains, op: OperatingPoint) -> tuple[float, dict]:
-    ncp = ncp_allocate(gains, op)
-    cp = cp_allocate(gains, op)
-    extra = {
-        "beta_ncp": ncp.beta,
-        "beta_cp": cp.beta,
-        "rate_ncp": ncp.base_rate,
-        "rate_cp": cp.base_rate,
-    }
-    return cp.base_rate / ncp.base_rate, extra
+def _point_gains(p: Mapping[str, float]) -> LinkGains | None:
+    """Gains at a sweep point, or None where the point is degenerate.
 
-
-def _sweep_plane_gain(params: Mapping[str, float]) -> list[SweepRecord]:
-    xs = grid_values(params["x_min"], params["x_max"], params["x_step"])
-    ys = grid_values(params["y_min"], params["y_max"], params["y_step"])
-    eta = _check_positive("eta", params["eta"])
-    op = OperatingPoint(params["epsilon"], params["k"])
-    half = eta / 2.0
-    records = []
-    for x in xs:
-        for y in ys:
-            d12_sq = (x + 0.5) ** 2 + y * y
-            d23_sq = (x - 0.5) ** 2 + y * y
-            if d12_sq == 0.0 or d23_sq == 0.0:
-                records.append(SweepRecord((x, y), None, {}, degenerate=True))
-                continue
-            h12 = d12_sq ** -half
-            h23 = d23_sq ** -half
-            if h12 > OVERFLOW_GAIN or h23 > OVERFLOW_GAIN:
-                records.append(SweepRecord((x, y), None, {}, degenerate=True))
-                continue
-            gain, extra = _gain_point(LinkGains(h12, 1.0, h23), op)
-            records.append(SweepRecord((x, y), gain, extra))
-    return records
-
-
-def _collinear_record(d: float, eta: float) -> LinkGains | None:
-    gains = collinear_gains(d, eta)
+    Plane gains raise squared distances to -eta/2: going through hypot
+    would move some plane CSV values in the last printed digit.
+    """
+    if "d" in p:
+        gains = collinear_gains(p["d"], p["eta"])
+    else:
+        x, y, half = p["x"], p["y"], p["eta"] / 2.0
+        d12_sq = (x + 0.5) ** 2 + y * y
+        d23_sq = (x - 0.5) ** 2 + y * y
+        if d12_sq == 0.0 or d23_sq == 0.0:
+            return None
+        gains = LinkGains(d12_sq ** -half, 1.0, d23_sq ** -half)
     if gains.h12 > OVERFLOW_GAIN or gains.h23 > OVERFLOW_GAIN:
         return None
     return gains
 
 
-def _sweep_collinear_gain(params: Mapping[str, float]) -> list[SweepRecord]:
-    ds = grid_values(params["d_min"], params["d_max"], params["d_step"])
-    eta = _check_positive("eta", params["eta"])
-    op = OperatingPoint(params["epsilon"], params["k"])
-    records = []
-    for d in ds:
-        gains = _collinear_record(d, eta)
-        if gains is None:
-            records.append(SweepRecord((d,), None, {}, degenerate=True))
-            continue
-        gain, extra = _gain_point(gains, op)
-        records.append(SweepRecord((d,), gain, {"h12": gains.h12, "h23": gains.h23, **extra}))
-    return records
+# Point evaluators return the headline value (None when the demand is
+# infeasible) and the extra values by column name; sweep() puts h12 and
+# h23 in front where the kind lists them.
+
+def _rate_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float]):
+    ncp, cp = ncp_allocate(gains, op), cp_allocate(gains, op)
+    return cp.base_rate / ncp.base_rate, {"beta_ncp": ncp.beta, "beta_cp": cp.beta,
+                                          "rate_ncp": ncp.base_rate, "rate_cp": cp.base_rate}
 
 
-def _sweep_rate_ratio(params: Mapping[str, float]) -> list[SweepRecord]:
-    ks = grid_values(params["k_min"], params["k_max"], params["k_step"])
-    eta = _check_positive("eta", params["eta"])
-    epsilon = _check_positive("epsilon", params["epsilon"])
-    gains = collinear_gains(params["d"], eta)
-    records = []
-    for k in ks:
-        gain, extra = _gain_point(gains, OperatingPoint(epsilon, k))
-        records.append(SweepRecord((k,), gain, extra))
-    return records
+def _resource_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float]):
+    named = {"ncp_feasible": feasible(Protocol.NCP, gains, op, p["rate"]),
+             "cp_feasible": feasible(Protocol.CP, gains, op, p["rate"])}
+    if not (named["ncp_feasible"] and named["cp_feasible"]):
+        return None, named
+    total_ncp = resource_usage(Protocol.NCP, gains, op, p["rate"]).total
+    total_cp = resource_usage(Protocol.CP, gains, op, p["rate"]).total
+    return total_ncp / total_cp, {**named, "total_ncp": total_ncp, "total_cp": total_cp}
 
 
-def _sweep_resource_ratio(params: Mapping[str, float]) -> list[SweepRecord]:
-    ds = grid_values(params["d_min"], params["d_max"], params["d_step"])
-    eta = _check_positive("eta", params["eta"])
-    rate = _check_positive("rate", params["rate"])
-    op = OperatingPoint(params["epsilon"], params["k"])
-    records = []
-    for d in ds:
-        gains = _collinear_record(d, eta)
-        if gains is None:
-            records.append(SweepRecord((d,), None, {}, degenerate=True))
-            continue
-        ok_ncp = feasible(Protocol.NCP, gains, op, rate)
-        ok_cp = feasible(Protocol.CP, gains, op, rate)
-        extra = {"h12": gains.h12, "h23": gains.h23,
-                 "ncp_feasible": ok_ncp, "cp_feasible": ok_cp}
-        if not (ok_ncp and ok_cp):
-            records.append(SweepRecord((d,), None, extra, feasible=False))
-            continue
-        total_ncp = resource_usage(Protocol.NCP, gains, op, rate).total
-        total_cp = resource_usage(Protocol.CP, gains, op, rate).total
-        extra.update(total_ncp=total_ncp, total_cp=total_cp)
-        records.append(SweepRecord((d,), total_ncp / total_cp, extra))
-    return records
+def _energy_point(gains: LinkGains, op: None, p: Mapping[str, float]):
+    eps_ncp = min_tern(Protocol.NCP, gains, p["k"], p["rate"]).epsilon_min
+    eps_cp = min_tern(Protocol.CP, gains, p["k"], p["rate"]).epsilon_min
+    return eps_ncp / eps_cp, {"eps_ncp": eps_ncp, "eps_cp": eps_cp}
 
 
-def _sweep_energy_ratio(params: Mapping[str, float]) -> list[SweepRecord]:
-    ds = grid_values(params["d_min"], params["d_max"], params["d_step"])
-    eta = _check_positive("eta", params["eta"])
-    rate = _check_positive("rate", params["rate"])
-    k = _check_positive("k", params["k"])
-    records = []
-    for d in ds:
-        gains = _collinear_record(d, eta)
-        if gains is None:
-            records.append(SweepRecord((d,), None, {}, degenerate=True))
-            continue
-        eps_ncp = min_tern(Protocol.NCP, gains, k, rate).epsilon_min
-        eps_cp = min_tern(Protocol.CP, gains, k, rate).epsilon_min
-        records.append(SweepRecord((d,), eps_ncp / eps_cp,
-                                   {"h12": gains.h12, "h23": gains.h23,
-                                    "eps_ncp": eps_ncp, "eps_cp": eps_cp}))
-    return records
+@dataclass(frozen=True)
+class _Kind:
+    """Grid axes (axis a reads a_min/a_max/a_step), fixed parameters,
+    point evaluator, value column and extra columns of one sweep kind."""
+
+    axes: tuple[str, ...]
+    fixed: tuple[str, ...]
+    evaluate: Callable
+    value: str
+    extras: tuple[str, ...]
+
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        return (*(f"{a}_{end}" for a in self.axes for end in ("min", "max", "step")), *self.fixed)
 
 
-_SWEEPS = {
-    "plane_gain": (_sweep_plane_gain,
-                   ("x_min", "x_max", "x_step", "y_min", "y_max", "y_step",
-                    "epsilon", "k", "eta")),
-    "collinear_gain": (_sweep_collinear_gain,
-                       ("d_min", "d_max", "d_step", "epsilon", "k", "eta")),
-    "rate_ratio": (_sweep_rate_ratio,
-                   ("k_min", "k_max", "k_step", "d", "epsilon", "eta")),
-    "resource_ratio": (_sweep_resource_ratio,
-                       ("d_min", "d_max", "d_step", "epsilon", "k", "eta", "rate")),
-    "energy_ratio": (_sweep_energy_ratio,
-                     ("d_min", "d_max", "d_step", "k", "eta", "rate")),
+_RATE = ("beta_ncp", "beta_cp", "rate_ncp", "rate_cp")
+_KINDS = {
+    "plane_gain": _Kind(("x", "y"), ("epsilon", "k", "eta"), _rate_point, "gain", _RATE),
+    "collinear_gain": _Kind(("d",), ("epsilon", "k", "eta"), _rate_point, "gain",
+                            ("h12", "h23", *_RATE)),
+    "rate_ratio": _Kind(("k",), ("d", "epsilon", "eta"), _rate_point, "gain", _RATE),
+    "resource_ratio": _Kind(("d",), ("epsilon", "k", "eta", "rate"), _resource_point,
+                            "resource_ratio", ("h12", "h23", "ncp_feasible", "cp_feasible",
+                                               "total_ncp", "total_cp")),
+    "energy_ratio": _Kind(("d",), ("k", "eta", "rate"), _energy_point, "energy_ratio",
+                          ("h12", "h23", "eps_ncp", "eps_cp")),
 }
 
-SWEEP_KINDS = tuple(_SWEEPS)
-
-_COLUMNS = {
-    "plane_gain": (("x", "y"), "gain",
-                   ("beta_ncp", "beta_cp", "rate_ncp", "rate_cp")),
-    "collinear_gain": (("d",), "gain",
-                       ("h12", "h23", "beta_ncp", "beta_cp", "rate_ncp", "rate_cp")),
-    "rate_ratio": (("k",), "gain",
-                   ("beta_ncp", "beta_cp", "rate_ncp", "rate_cp")),
-    "resource_ratio": (("d",), "resource_ratio",
-                       ("h12", "h23", "ncp_feasible", "cp_feasible",
-                        "total_ncp", "total_cp")),
-    "energy_ratio": (("d",), "energy_ratio",
-                     ("h12", "h23", "eps_ncp", "eps_cp")),
-}
+SWEEP_KINDS = tuple(_KINDS)
+# every parameter of any kind, in first-use order: the CLI's sweep flags
+SWEEP_PARAMETERS = tuple(dict.fromkeys(n for kind in _KINDS.values() for n in kind.parameters))
 
 
 def sweep_columns(kind: str) -> list[str]:
     """CSV column names for a sweep kind, in emission order."""
-    coords, value, extras = _COLUMNS[kind]
-    return [*coords, value, *extras, "feasible", "degenerate"]
+    spec = _KINDS[kind]
+    return [*spec.axes, spec.value, *spec.extras, "feasible", "degenerate"]
 
 
 def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
     """Evaluate one sweep kind over its full grid; see SWEEP_KINDS."""
-    if kind not in _SWEEPS:
+    if kind not in _KINDS:
         raise ValidationError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
-    fn, required = _SWEEPS[kind]
+    spec = _KINDS[kind]
+    required = spec.parameters
     missing = [name for name in required if name not in params]
     if missing:
         raise ValidationError(f"sweep {kind!r} missing parameters: {', '.join(missing)}")
     unknown = [name for name in params if name not in required]
     if unknown:
         raise ValidationError(f"sweep {kind!r} got unknown parameters: {', '.join(unknown)}")
-    return fn(params)
+    grids = [grid_values(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
+             for a in spec.axes]
+    fixed = {name: _check_positive(name, params[name]) for name in spec.fixed}
+    # one operating point per sweep, or one per point where k is the axis
+    op = OperatingPoint(fixed["epsilon"], fixed["k"]) if {"epsilon", "k"} <= fixed.keys() else None
+    records = []
+    p = dict(fixed)
+    for coords in itertools.product(*grids):
+        p.update(zip(spec.axes, coords))
+        gains = _point_gains(p)
+        if gains is None:
+            records.append(SweepRecord(coords, None, {}, degenerate=True))
+            continue
+        if "k" in spec.axes:
+            op = OperatingPoint(p["epsilon"], p["k"])
+        value, extra = spec.evaluate(gains, op, p)
+        if "h12" in spec.extras:
+            extra = {"h12": gains.h12, "h23": gains.h23, **extra}
+        records.append(SweepRecord(coords, value, extra, value is not None))
+    return records

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocation import collaboration_gain
-from .energy import _solve_slot, feasibility_bound
+from .energy import _solve_slot, feasibility_bound, resource_usage
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import LinkGains, OperatingPoint, Protocol, _check_positive
 
@@ -146,17 +146,12 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
                              exact_gain=gain, high_tern_advisory=advisory)
 
 
-def _pair_usage(protocol: Protocol, h_sd: float, cand: RelayCandidate | None,
+def _pair_usage(protocol: Protocol, h_sd: float, pair: LinkGains | None,
                 op: OperatingPoint, rate: float) -> float:
     """Total resource used by the pair (source slot + partner slot)."""
-    eps, k = op.epsilon, op.k
-    if protocol is Protocol.NCP:
-        total = _solve_slot(h_sd, eps, rate)
-        if cand is not None:
-            total += _solve_slot(cand.h_rd, k * eps, k * rate)
-        return total
-    assert cand is not None
-    return _solve_slot(cand.h_sr, eps, rate) + _solve_slot(cand.h_rd, k * eps, (k + 1.0) * rate)
+    if pair is None:
+        return _solve_slot(h_sd, op.epsilon, rate)
+    return resource_usage(protocol, pair, op, rate).total
 
 
 def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[RelayCandidate, ...],
@@ -169,10 +164,11 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
     options: list[tuple[float, int, str, Protocol, str | None, RelayCandidate | None]] = []
     violations: list[str] = []
 
-    def consider(protocol: Protocol, cand: RelayCandidate | None, bound_gain: float, label: str):
-        bound = eps * bound_gain
+    def consider(protocol: Protocol, cand: RelayCandidate | None, pair: LinkGains | None,
+                 label: str):
+        bound = eps * (h_sd if pair is None else feasibility_bound(protocol, pair, k))
         if rate < bound:
-            total = _pair_usage(protocol, h_sd, cand, op, rate)
+            total = _pair_usage(protocol, h_sd, pair, op, rate)
             rank = 0 if protocol is Protocol.NCP else 1
             options.append((total, rank, cand.id if cand else "", protocol,
                             cand.id if protocol is Protocol.CP else None, cand))
@@ -180,13 +176,11 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
             violations.append(f"{label}: rate {rate!r} >= bound {bound!r}")
 
     if not candidates:
-        consider(Protocol.NCP, None, h_sd, "NCP(direct)")
+        consider(Protocol.NCP, None, None, "NCP(direct)")
     for cand in sorted(candidates, key=lambda c: c.id):
         pair = _pair_gains(h_sd, cand)
-        consider(Protocol.NCP, cand, feasibility_bound(Protocol.NCP, pair, k),
-                 f"NCP(pair {cand.id})")
-        consider(Protocol.CP, cand, feasibility_bound(Protocol.CP, pair, k),
-                 f"CP({cand.id})")
+        consider(Protocol.NCP, cand, pair, f"NCP(pair {cand.id})")
+        consider(Protocol.CP, cand, pair, f"CP({cand.id})")
 
     if not options:
         raise NoFeasibleOptionError(violations)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from relaygain import (LinkGains, OperatingPoint, Placement, collaboration_gain,
                        collinear_gains, gains_from_placement, grid_values,
                        low_tern_gain_limit, max_geometric_gain,
                        optimal_relay_location, sweep, sweep_columns)
+from relaygain.cli import main
 from relaygain.errors import GeometryError, ValidationError
 from relaygain.verify import collinear_grid_peak
 
@@ -181,6 +183,16 @@ class TestSweeps:
         assert records[0].degenerate and records[0].gain is None
         assert not records[-1].degenerate and records[-1].gain is not None
 
+    def test_rate_ratio_overflow_guard_flags_degenerate(self):
+        # the fixed relay at d=1e-5 gives h12 = 1e15: every k is degenerate,
+        # as the same relay is in collinear_gain
+        records = sweep("rate_ratio", {
+            "k_min": 0.5, "k_max": 1.0, "k_step": 0.5,
+            "d": 1e-5, "epsilon": 0.01, "eta": 3.0})
+        assert [rec.coords for rec in records] == [(0.5,), (1.0,)]
+        assert all(rec.degenerate and rec.gain is None and rec.extra == {}
+                   for rec in records)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
             sweep("nope", {})
@@ -192,3 +204,37 @@ class TestSweeps:
     def test_columns_are_stable(self):
         assert sweep_columns("plane_gain")[:3] == ["x", "y", "gain"]
         assert sweep_columns("resource_ratio")[-2:] == ["feasible", "degenerate"]
+
+
+# One small grid per sweep kind, written through the CLI; each CSV's sha256
+# was recorded before the sweeps were rebuilt on one shared loop, so a
+# change to any row, column or flag shows up as a different digest.
+SMALL_SWEEPS = {
+    # (-0.5, 0) and (0.5, 0) sit on an endpoint: degenerate rows
+    "plane_gain": (["--x-min", "-0.5", "--x-max", "0.5", "--x-step", "0.25",
+                    "--y-min", "0", "--y-max", "0.5", "--y-step", "0.25",
+                    "--epsilon", "0.01", "--k", "1", "--eta", "2"],
+                   "67a7a330717785b6aa14faf68499da2ba4a70fd8dd56a4f5ceaf87bd86866883"),
+    # d=5e-6 pushes h12 past OVERFLOW_GAIN: a degenerate row
+    "collinear_gain": (["--d-min", "5e-6", "--d-max", "0.500005", "--d-step", "0.125",
+                        "--epsilon", "0.01", "--k", "1", "--eta", "3"],
+                       "165dd545cf0a64552179cacb538446a2ce0a837b666f0727fa0988f1b9245b8f"),
+    "rate_ratio": (["--k-min", "0.5", "--k-max", "2", "--k-step", "0.5",
+                    "--d", "0.5", "--epsilon", "0.01", "--eta", "3"],
+                   "f142da7d83a5831839d62cb501eb80404421320a192d135db6c42792ee268d3f"),
+    # at d=0.1 the CP chord bound 0.01*0.5/0.9**3 lies below the rate: infeasible
+    "resource_ratio": (["--d-min", "0.1", "--d-max", "0.9", "--d-step", "0.2",
+                        "--epsilon", "0.01", "--k", "1", "--eta", "3", "--rate", "0.008"],
+                       "bd07187d848ba6b7aae67ff7abe493eb11c65b3c66ec5a7adef956488f2184d0"),
+    "energy_ratio": (["--d-min", "0.3", "--d-max", "0.7", "--d-step", "0.2",
+                      "--k", "1", "--eta", "3", "--rate", "0.01"],
+                     "010aad41f0b773a68f8fffac4a64b0cbb8d7ce95499187f4237fa31bb1052523"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_SWEEPS))
+def test_small_sweep_csv_digest(kind, tmp_path):
+    flags, digest = SMALL_SWEEPS[kind]
+    out = tmp_path / f"{kind}.csv"
+    assert main(["sweep", "--kind", kind, *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
