@@ -1,9 +1,14 @@
 """Energy-minimization dual of the rate problem, and resource usage.
 
-For a demanded base rate R the minimal TERN is the unique eps at which the
-protocol's optimal base rate equals R; the achievable rate is strictly
-increasing and unbounded in eps, so a bracket always exists for alive
-links and bisection (in log-eps, for uniform relative resolution) finds it.
+For a demanded base rate R the minimal TERN is where both users'
+constraints bind: with share b user 1 needs eps1(b) = b*expm1(R/b)/h_first,
+and the partner, with share 1 - b and TERN k*eps, needs
+eps2(b) = (1-b)*expm1(kappa*R/(1-b))/(k*h23), where kappa, h_first are
+k, h13 for NCP and k + 1, h12 for CP (as in allocation). eps1 falls in b
+and eps2 rises, so one bisection finds the root beta of ln eps1 - ln eps2
+down to adjacent doubles, and eps_min = eps1(beta). The logarithms stay
+finite where eps overflows, so a TERN beyond the float range is a
+ValidationError rather than a wrong number.
 
 Resource usage drops the unit budget: each user independently solves
 
@@ -17,15 +22,21 @@ the usage diverges.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .allocation import cp_allocate, ncp_allocate
+# unused here; bench/spans.py hooks the allocators where this module binds them
+from .allocation import cp_allocate, ncp_allocate  # noqa: F401
 from .errors import InfeasibleRateError, ValidationError
 from .model import LinkGains, OperatingPoint, Protocol, _check_positive
 from .rootfind import Bracket, solve_monotone
 
-_LOG_EPS_TOL = 1e-12
 _LOG_BETA_TOL = 1e-13
+# bisection of [0, 1] reaches adjacent doubles within this many halvings,
+# subnormal shares included
+_SHARE_HALVINGS = 1100
+_LOG_EPS_MIN = math.log(sys.float_info.min)
+_LOG_EPS_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,7 @@ class ResourceUsage:
 
 @dataclass(frozen=True)
 class EnergySolution:
-    """Minimal TERN of user 1 achieving a demanded base rate, and its allocation."""
+    """Minimal TERN of user 1 achieving a demanded base rate, and user 1's share there."""
 
     protocol: Protocol
     epsilon_min: float
@@ -69,29 +80,39 @@ def feasible(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rate: flo
     return rate < op.epsilon * feasibility_bound(protocol, gains, op.k)
 
 
+def _log_tern(share: float, demand: float, log_gain: float) -> float:
+    """ln(share * expm1(demand/share)) - log_gain, finite where expm1 overflows."""
+    if share == 0.0:
+        return math.inf  # a zero share carries no rate at any TERN
+    x = demand / share
+    log_expm1 = x + math.log1p(-math.exp(-x)) if x > 1.0 else math.log(math.expm1(x))
+    return math.log(share) + log_expm1 - log_gain
+
+
 def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> EnergySolution:
-    """Minimal TERN at which the protocol's optimal base rate reaches `rate`."""
+    """Minimal TERN at which the protocol's optimal base rate reaches `rate`.
+
+    Raises ValidationError when that TERN is outside the normal float range.
+    """
     rate = _check_positive("rate", rate)
     k = _check_positive("k", k)
-    h_first, h_second = _links(protocol, gains)
-    allocate = ncp_allocate if protocol is Protocol.NCP else cp_allocate
+    h_first, h23 = _links(protocol, gains)
+    kappa = k if protocol is Protocol.NCP else k + 1.0
+    # the rate the partner's slot carries; a product that under- or overflows is rejected
+    partner_rate = _check_positive("partner rate", kappa * rate)
+    log_first, log_second = math.log(h_first), math.log(k) + math.log(h23)
 
-    def base_rate(eps: float) -> float:
-        return allocate(gains, OperatingPoint(eps, k)).base_rate
+    def gap(b: float) -> float:
+        return _log_tern(b, rate, log_first) - _log_tern(1.0 - b, partner_rate, log_second)
 
-    # base_rate(eps) <= eps * min(h) keeps the lower end on the short side;
-    # the upper end grows geometrically until it overshoots.
-    lo = rate / (1e6 * max(h_first, h_second))
-    hi = rate / min(h_first, h_second)
-    while base_rate(hi) <= rate:
-        hi *= 4.0
-
-    def residual(u: float) -> float:
-        return base_rate(math.exp(u)) - rate
-
-    bracket = Bracket.scan(residual, math.log(lo), math.log(hi))
-    eps = math.exp(solve_monotone(residual, bracket, abs_tol=_LOG_EPS_TOL))
-    return EnergySolution(protocol, eps, allocate(gains, OperatingPoint(eps, k)).beta)
+    bracket = Bracket.scan(gap, 0.0, 1.0)
+    beta = solve_monotone(gap, bracket, abs_tol=math.ulp(0.0), max_iter=_SHARE_HALVINGS)
+    log_eps = _log_tern(beta, rate, log_first)
+    if not _LOG_EPS_MIN <= log_eps <= _LOG_EPS_MAX:
+        raise ValidationError(
+            f"{protocol.value}: the minimal TERN for rate {rate!r} is e^{log_eps:.6g}, "
+            "outside the float range")
+    return EnergySolution(protocol, math.exp(log_eps), beta)
 
 
 def energy_gain(gains: LinkGains, k: float, rate: float) -> float:

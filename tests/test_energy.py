@@ -1,12 +1,15 @@
+import csv
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from relaygain import (LinkGains, OperatingPoint, Protocol, cp_allocate, energy_gain,
-                       feasibility_bound, feasible, min_tern, ncp_allocate,
-                       resource_usage)
+from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_allocate,
+                       energy_gain, feasibility_bound, feasible, grid_values, min_tern,
+                       ncp_allocate, resource_usage)
+from relaygain.cli import main
 from relaygain.errors import DeadLinkError, InfeasibleRateError, ValidationError
 
 ONES = LinkGains(1, 1, 1)
@@ -149,3 +152,98 @@ class TestDualityRoundtrip:
                 recovered = min_tern(protocol, gains, k, rate).epsilon_min
                 worst = max(worst, abs(recovered - eps) / eps)
         assert worst <= 1e-6
+
+
+class TestMinTernRange:
+    """Far from unit rates min_tern solves, or says its TERN is out of float range."""
+
+    @pytest.mark.parametrize("protocol, rate, log_eps", [
+        (Protocol.CP, 700.0, "2099.36"),
+        (Protocol.NCP, 700.0, "1399.31"),
+        (Protocol.CP, 300.0, "899.364"),
+    ])
+    def test_overflow_is_a_validation_error(self, protocol, rate, log_eps):
+        with pytest.raises(ValidationError) as err:
+            min_tern(protocol, ONES, 1.0, rate)
+        message = str(err.value)
+        assert message.startswith(f"{protocol.value}: ")
+        assert f"rate {rate!r}" in message and f"e^{log_eps}" in message
+
+    # eps_min and beta from a 50-digit mpmath solve of the crossing equations
+    @pytest.mark.parametrize("rate, eps_min, beta", [
+        (235.0, 7.9660135401231759e+305, 0.33311460875718671),
+        (1e-12, 2.000000000002e-12, 7.9590509463078089e-13),
+    ])
+    def test_cp_extreme_rates_solved(self, rate, eps_min, beta):
+        sol = min_tern(Protocol.CP, ONES, 1.0, rate)
+        assert sol.epsilon_min == pytest.approx(eps_min, rel=1e-12)
+        assert sol.beta == pytest.approx(beta, rel=1e-12)
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def mp_min_tern(mp, protocol, gains, k, rate):
+    """(ln eps_min, beta) at 50 digits, where both users' constraints bind:
+    b*expm1(R/b)/h_first = (1-b)*expm1(w*R/(1-b))/(k*h23), w = k (NCP) or k+1 (CP)."""
+    with mp.workdps(50):
+        k, rate = mp.mpf(k), mp.mpf(rate)
+        h_first = mp.mpf(gains.h13 if protocol is Protocol.NCP else gains.h12)
+        h23 = mp.mpf(gains.h23)
+        w = k if protocol is Protocol.NCP else k + 1
+
+        def log_eps1(b):
+            return mp.log(b) + mp.log(mp.expm1(rate / b)) - mp.log(h_first)
+
+        def log_eps2(b):
+            return mp.log(1 - b) + mp.log(mp.expm1(w * rate / (1 - b))) - mp.log(k * h23)
+
+        tiny = mp.mpf("1e-45")
+        beta = mp.findroot(lambda b: log_eps2(b) - log_eps1(b), (tiny, 1 - tiny),
+                           solver="anderson")
+        return log_eps1(beta), beta
+
+
+class TestMinTernAgainstMpmath:
+    def test_draws_match_or_raise_overflow(self):
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(5)
+        log_max = math.log(sys.float_info.max)
+        matched = 0
+        for _ in range(600):
+            gains = LinkGains(*(_log_uniform(rng, 1e-3, 1e3) for _ in range(3)))
+            k = _log_uniform(rng, 1e-2, 1e2)
+            rate = _log_uniform(rng, 1e-10, 300.0)
+            for protocol in Protocol:
+                log_eps, beta = mp_min_tern(mp, protocol, gains, k, rate)
+                if log_eps > log_max:
+                    with pytest.raises(ValidationError, match="outside the float range"):
+                        min_tern(protocol, gains, k, rate)
+                    continue
+                sol = min_tern(protocol, gains, k, rate)
+                assert sol.epsilon_min == pytest.approx(float(mp.exp(log_eps)), rel=1e-12)
+                assert sol.beta == pytest.approx(float(beta), rel=1e-12)
+                matched += 1
+        assert matched >= 1100
+
+    def test_readme_energy_csv_matches_mpmath(self, tmp_path):
+        """Every printed cell of the README energy_ratio sweep is the
+        12-digit rounding of its 50-digit value."""
+        mp = pytest.importorskip("mpmath")
+        out = tmp_path / "energy.csv"
+        assert main(["sweep", "--kind", "energy_ratio", "--d-min", "0.05", "--d-max", "0.95",
+                     "--d-step", "0.01", "--k", "1", "--eta", "3", "--rate", "0.01",
+                     "--out", str(out)]) == 0
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        grid = grid_values(0.05, 0.95, 0.01)
+        assert len(rows) == len(grid) == 91
+        for d, row in zip(grid, rows):
+            assert row["feasible"] == "true"
+            gains = collinear_gains(d, 3.0)
+            eps_ncp = mp.exp(mp_min_tern(mp, Protocol.NCP, gains, 1.0, 0.01)[0])
+            eps_cp = mp.exp(mp_min_tern(mp, Protocol.CP, gains, 1.0, 0.01)[0])
+            expected = {"energy_ratio": eps_ncp / eps_cp, "eps_ncp": eps_ncp, "eps_cp": eps_cp}
+            assert {c: row[c] for c in expected} == {
+                c: format(float(v), ".12g") for c, v in expected.items()}, f"d={d!r}"
