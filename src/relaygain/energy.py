@@ -16,7 +16,8 @@ Resource usage drops the unit budget: each user independently solves
 
 whose left side increases to the supremum h*eps_user, hence the demand is
 servable iff target stays strictly below that chord bound; near the bound
-the usage diverges.
+the usage diverges. Where h*eps_user/beta overflows, ln(1 + x) is taken from
+ln x, and a share below the normal float range is a ValidationError.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ _LOG_BETA_TOL = 1e-13
 # bisection of [0, 1] reaches adjacent doubles within this many halvings,
 # subnormal shares included
 _SHARE_HALVINGS = 1100
-_LOG_EPS_MIN = math.log(sys.float_info.min)
-_LOG_EPS_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> Ene
     bracket = Bracket.scan(gap, 0.0, 1.0)
     beta = solve_monotone(gap, bracket, abs_tol=math.ulp(0.0), max_iter=_SHARE_HALVINGS)
     log_eps = _log_tern(beta, rate, log_first)
-    if not _LOG_EPS_MIN <= log_eps <= _LOG_EPS_MAX:
+    if not _LOG_FLOAT_MIN <= log_eps <= _LOG_FLOAT_MAX:
         raise ValidationError(
             f"{protocol.value}: the minimal TERN for rate {rate!r} is e^{log_eps:.6g}, "
             "outside the float range")
@@ -124,24 +125,31 @@ def energy_gain(gains: LinkGains, k: float, rate: float) -> float:
 
 
 def _solve_slot(h: float, eps_user: float, target: float) -> float:
-    """beta in (0, inf) with beta * ln(1 + h*eps_user/beta) = target."""
+    """beta in (0, inf) with beta * ln(1 + h*eps_user/beta) = target.
+
+    Raises ValidationError when beta lies below the normal float range.
+    """
     chord = h * eps_user
     if not target < chord:
         raise InfeasibleRateError("slot", target, chord)
 
-    def overshoot(b: float) -> float:
-        return b * math.log1p(chord / b) - target
+    def residual(u: float) -> float:
+        """beta*ln(1 + chord/beta) - target at beta = e^u."""
+        b = math.exp(u)
+        x = chord / b
+        if x < math.inf:
+            return b * math.log1p(x) - target
+        t = math.log(h) + math.log(eps_user) - u  # ln x, finite where x overflows
+        return b * (t + math.log1p(math.exp(-t))) - target
 
+    if residual(_LOG_FLOAT_MIN) >= 0.0:
+        raise ValidationError(f"the share for rate {target!r} is below the normal float range")
     lo = target
-    while overshoot(lo) >= 0.0:
+    while residual(math.log(lo)) >= 0.0:
         lo *= 0.125
     hi = max(target, 1.0)
-    while overshoot(hi) <= 0.0:
+    while residual(math.log(hi)) <= 0.0:
         hi *= 8.0
-
-    def residual(u: float) -> float:
-        return overshoot(math.exp(u))
-
     bracket = Bracket.scan(residual, math.log(lo), math.log(hi))
     return math.exp(solve_monotone(residual, bracket, abs_tol=_LOG_BETA_TOL))
 

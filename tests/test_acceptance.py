@@ -41,7 +41,8 @@ from relaygain import (LinkGains, OperatingPoint, Protocol, RelayCandidate,
                        ncp_allocate, optimal_relay_location, rate_energy_score,
                        select_relay_rate, small_k_gain_slope, sweep)
 from relaygain.bounds import _tangent_construction, _tangent_gap
-from relaygain.verify import collinear_grid_peak, sandwich_violations
+from relaygain.verify import (collinear_grid_peak, placement_shortfall_bound,
+                              sandwich_violations)
 
 SEED = 20260809
 ONES = LinkGains(1, 1, 1)
@@ -149,8 +150,7 @@ def test_criterion_06_placement_grid():
             v_star = max_geometric_gain(k, eta)
             d_err = abs(d_grid - d_star)
             shortfall = (v_star - v_grid) / v_star
-            m = min(d_star, 1.0 - d_star)
-            bound = 1.0 - (m / (m + step / 2)) ** eta
+            bound = placement_shortfall_bound(k, eta, step)
             details.append(f"(k={k:g},eta={eta:g}): d_err={d_err:.1e} "
                            f"shortfall={shortfall:.2e} bound={bound:.2e}")
             if (d_err > 2e-3 or v_grid > v_star * (1 + 1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,118 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+PAIR_SCENARIO = {
+    "gains": {"h12": 2.0, "h13": 0.5, "h23": 1.5},
+    "operating": {"epsilon": 1.0, "k": 0.5},
+    "rate": 0.2,
+    "candidates": [{"id": "a", "h_sr": 4.0, "h_rd": 3.0},
+                   {"id": "b", "h_sr": 0.3, "h_rd": 9.0}],
+}
+
+GOLDEN_SCENARIOS = {
+    "pair": PAIR_SCENARIO,
+    "placement": {"placement": {"source": [-0.5, 0.0], "destination": [0.5, 0.0],
+                                "relay": [0.1, 0.2], "eta": 3.0},
+                  "operating": {"epsilon": 0.05, "k": 2.0}},
+    # in resource mode u2->u4 lacks a rate and u4->u1 has no feasible option
+    "flows": {**ONES_SCENARIO, "flows": [
+        {"source": "u1", "destination": "u3", "h_sd": 1.0, "epsilon": 0.5, "k": 1.0,
+         "rate": 0.1, "candidates": [{"id": "u2", "h_sr": 8.0, "h_rd": 8.0}]},
+        {"source": "u2", "destination": "u4", "h_sd": 2.0, "epsilon": 1e-3, "k": 3.0},
+        {"source": "u4", "destination": "u1", "h_sd": 0.2, "epsilon": 1.0, "k": 1.0,
+         "rate": 0.5, "candidates": [{"id": "u3", "h_sr": 0.1, "h_rd": 0.3}]},
+    ]},
+    "dead_link": {"gains": {"h12": 1.0, "h13": 0.0, "h23": 1.0},
+                  "operating": {"epsilon": 1.0, "k": 1.0}},
+    "no_rate": ONES_SCENARIO,
+    "infeasible": {**PAIR_SCENARIO, "rate": 5.0},
+}
+
+# case: (argv, scenario, exit code, text stdout, sha256 of json stdout, stderr)
+GOLDEN = {
+    "gain": (["gain"], "pair", 0,
+        "NCP  beta=0.911281389584 base_rate=0.39859596351 rate2=0.199297981755 sum_rate=0.597893945265\n"
+        "CP   beta=0.128503480492 base_rate=0.360737338878 rate2=0.180368669439 sum_rate=0.541106008317\n"
+        "gain=0.905020050131 collaborate=false\n",
+        "32792c8c810be7305d5f324451987d3b4b31e3d2e14d7c9ffb8ef1b9d5b0f33f",
+        ""),
+    "energy": (["energy"], "pair", 0,
+        "NCP  epsilon_min=0.445139791033 beta=0.951619143287\n"
+        "CP   epsilon_min=0.472705853088 beta=0.077524088561\n"
+        "energy_gain=0.941684534103\n",
+        "1c4d88b3d4d144789e1cf39aa69909bfa399ea68d2ebf09d1a3924eef945f4a8",
+        ""),
+    "resource": (["resource"], "pair", 0,
+        "NCP  beta1=0.123549213686 beta2=0.0309893108533 total=0.154538524539\n"
+        "CP   beta1=0.0553257932671 beta2=0.185323820528 total=0.240649613796\n"
+        "resource_ratio=0.642172335544\n",
+        "7f9d347753a8899eeb414e3209c7b0edc8c6accc0d3c9ccfb95bbfe013929958",
+        ""),
+    "bounds": (["bounds"], "pair", 0,
+        "ncp_high_tern  lower=0.297639102044 upper=0.422075248491 beta= degenerate=false\n"
+        "ncp_low_tern   lower=0.269708847598 upper=0.405465108108 beta=0.542791152402 degenerate=false\n"
+        "cp_high_tern   lower=0.278501132951 upper=0.383551504424 beta=0.0523964958906 degenerate=false\n"
+        "cp_low_tern    lower=0 upper=0.373077191957 beta=0.807838574663 degenerate=false\n"
+        "exact          ncp=0.39859596351 cp=0.360737338878\n"
+        "low_tern_gain_limit=1 high_tern_gain_limit=0.6\n",
+        "8907c1f640cb1e38e7c908e9335dbabb9a993ff432d596a2c32916cb44b8492f",
+        ""),
+    "select_rate": (["select"], "pair", 0,
+        "protocol=CP relay=a criterion=2 exact_gain=1.41802502171 advisory=false\n",
+        "64968be14dde5ec95988f82acdbea2409a30223a956ab908a8e939dbd3a4776b",
+        ""),
+    "select_resource": (["select", "--mode", "resource"], "pair", 0,
+        "protocol=NCP relay=- criterion=0.141668928598 exact_gain= advisory=false\n",
+        "a84de3d3cfea6b05304c6ea519d865b70bbaeea497331aa1689a71b7a04f933b",
+        ""),
+    "placement": (["placement"], "placement", 0,
+        "h12=3.95284707521 h13=1 h23=11.1803398875\n"
+        "gain=3.52480271801 collaborate=true\n"
+        "optimal_relay_location=0.53373741818 max_geometric_gain=6.57683654598\n",
+        "00c507251d142fd0be3cc4770636583559719a6476fa0249ae81ffede5603f05",
+        ""),
+    "flows_rate": (["select"], "flows", 0,
+        "u1->u3: CP relay=u2 criterion=4 exact_gain=1.75268440034 advisory=false\n"
+        "u2->u4: NCP relay=- criterion=0 exact_gain= advisory=false\n"
+        "u4->u1: NCP relay=- criterion=0.5 exact_gain=0.526301627199 advisory=false\n",
+        "a739471e57be6c0e608aadee2bd1d910027568186eb7338deeeae57b4670a9de",
+        ""),
+    "flows_resource": (["select", "--mode", "resource"], "flows", 0,
+        "u1->u3: NCP relay=- criterion=0.056191814456 exact_gain= advisory=false\n"
+        "u2->u4: error: flow u2->u4 needs 'rate' in resource mode\n"
+        "u4->u1: error: no feasible option: NCP(pair u3): rate 0.5 >= bound 0.2; CP(u3): rate 0.5 >= bound 0.1\n",
+        "0dfde4508176b63e9417d7bab7032ab064027b3f39ce3e92ebdfac55b510504f",
+        ""),
+    "dead_link": (["gain"], "dead_link", 3,
+        "",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: dead link h13: gain is zero but the solver needs it\n"),
+    "missing_rate": (["energy"], "no_rate", 2,
+        "",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: scenario is missing 'rate' (required by this subcommand)\n"),
+    "nothing_feasible": (["select", "--mode", "resource"], "infeasible", 3,
+        "",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: no feasible option: NCP(pair a): rate 5.0 >= bound 0.5; CP(a): rate 5.0 >= bound 1.0; NCP(pair b): rate 5.0 >= bound 0.5; CP(b): rate 5.0 >= bound 0.3\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(tmp_path, capsys, case, fmt):
+    """Stdout, stderr and exit code of every scenario subcommand, byte for byte."""
+    argv, scenario, code, text, json_sha256, err = GOLDEN[case]
+    rc = main([*argv, "--scenario", write_scenario(tmp_path, GOLDEN_SCENARIOS[scenario]),
+               "--format", fmt])
+    out, got_err = capsys.readouterr()
+    assert (rc, got_err) == (code, err)
+    if fmt == "text":
+        assert out == text
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
 
 
 class TestGainCommand:
@@ -229,6 +342,14 @@ class TestVerifyCommand:
                      "placement.argmax", "selection.no_losing_cp",
                      "inequality.survey"):
             assert name in out
+
+    def test_placement_value_checks_every_combo(self, capsys):
+        assert main(["verify", "--suite", "placement"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "placement.value " in line)
+        assert line.startswith("PASS ")
+        assert line.endswith("all four combos: grid max <= closed form, shortfall within "
+                             "the kink sampling bound (worst 0.78 of it)")
 
     def test_selection_suite_passes(self, capsys):
         assert main(["verify", "--suite", "selection"]) == 0

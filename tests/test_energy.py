@@ -136,6 +136,33 @@ class TestResourceUsage:
                 assert near > 10 * mid
 
 
+class TestSlotExtremes:
+    """Where h*eps/beta overflows the slot solves, or says its share is out of float range."""
+
+    def test_share_below_float_range_is_a_validation_error(self):
+        for protocol in Protocol:
+            with pytest.raises(ValidationError, match="below the normal float range"):
+                resource_usage(protocol, ONES, OperatingPoint(1, 1), 1e-306)
+
+    # shares from a 50-digit mpmath Lambert-W solve of beta*ln(1 + h*eps/beta) = target
+    @pytest.mark.parametrize("protocol, beta1, beta2", [
+        (Protocol.NCP, 1.4107315187845726e-8, 1.4107315187845726e-8),
+        (Protocol.CP, 7.0603511025837359e-7, 2.8242285975552778e-8),
+    ])
+    def test_overflowing_chord_ratio_solved(self, protocol, beta1, beta2):
+        usage = resource_usage(protocol, LinkGains(1, 1e300, 1e300), OperatingPoint(1, 1), 1e-5)
+        assert usage.beta1 == pytest.approx(beta1, rel=1e-12)
+        assert usage.beta2 == pytest.approx(beta2, rel=1e-12)
+
+    def test_cli_reports_the_share_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny_rate.json"
+        path.write_text('{"gains": {"h12": 1, "h13": 1, "h23": 1}, '
+                        '"operating": {"epsilon": 1, "k": 1}, "rate": 1e-306}')
+        assert main(["resource", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the share for rate 1e-306 is below the normal float range\n")
+
+
 class TestDualityRoundtrip:
     def test_roundtrip_both_protocols(self):
         rng = random.Random(11)

@@ -178,6 +178,20 @@ class TestEvaluateNetwork:
         assert results[0].decision is None and "no feasible option" in results[0].error
         assert results[1].decision is not None
 
+    def test_slot_extremes_do_not_abort_batch(self):
+        flows = [
+            Flow("u1", "u2", h_sd=1.0, epsilon=1.0, k=1.0, rate=1e-306),
+            Flow("u3", "u4", h_sd=1e300, epsilon=1.0, k=1.0, rate=1e-5,
+                 candidates=(RelayCandidate("r", 1e300, 1e300),)),
+        ]
+        results = evaluate_network(flows, "resource")
+        assert results[0].decision is None
+        assert "below the normal float range" in results[0].error
+        # two slots of 1.4107315187845726e-8 each (50-digit mpmath Lambert-W solve)
+        assert results[1].decision.protocol is Protocol.NCP
+        assert results[1].decision.criterion_value == pytest.approx(2.8214630375691452e-8,
+                                                                    rel=1e-12)
+
     def test_missing_rate_reported_per_flow(self):
         flows = [Flow("u1", "u2", h_sd=1.0, epsilon=1.0, k=1.0)]
         results = evaluate_network(flows, "resource")
