@@ -1,6 +1,6 @@
 """Collaboration gains for two-user decode-and-forward relaying.
 
-Exact bisection solvers for the fair resource-allocation problem of a
+Exact root solvers for the fair resource-allocation problem of a
 source/partner/destination triple, the rate-energy dual, closed-form
 rate brackets with their asymptotic limits, path-loss geometry sweeps,
 and relay selection over candidate partners.
@@ -13,8 +13,8 @@ from .bounds import (BoundPair, cp_bounds_high_tern, cp_bounds_low_tern,
 from .energy import (EnergySolution, ResourceUsage, energy_gain, feasibility_bound,
                      feasible, min_tern, resource_usage)
 from .errors import (DeadLinkError, GeometryError, InfeasibleRateError,
-                     IterationLimitError, NoFeasibleOptionError, NoSignChangeError,
-                     RelayGainError, ValidationError)
+                     IterationLimitError, NaNResidualError, NoFeasibleOptionError,
+                     NoSignChangeError, RelayGainError, ValidationError)
 from .geometry import (OVERFLOW_GAIN, Placement, SweepRecord, collinear_gains,
                        gains_from_placement, grid_values, max_geometric_gain,
                        optimal_relay_location, sweep, sweep_columns, SWEEP_KINDS)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation", "BoundPair", "Bracket", "DeadLinkError", "EnergySolution",
     "Flow", "FlowResult", "GainReport", "GeometryError", "InfeasibleRateError",
-    "IterationLimitError", "LinkGains", "NoFeasibleOptionError",
+    "IterationLimitError", "LinkGains", "NaNResidualError", "NoFeasibleOptionError",
     "NoSignChangeError", "OperatingPoint", "OVERFLOW_GAIN", "Placement",
     "Protocol", "RelayCandidate", "RelayGainError", "ResourceUsage",
     "SelectionDecision", "SweepRecord", "SWEEP_KINDS", "ValidationError",

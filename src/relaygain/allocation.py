@@ -11,7 +11,8 @@ partner decodes, so h13 drops out) of
     (k+1) * beta * ln(1 + h12*eps/beta) = (1 - beta) * ln(1 + h23*k*eps/(1 - beta)).
 
 Both residuals are strictly increasing with a sign change across (0, 1),
-which justifies plain bisection. The two are one residual
+so a bracketed solve finds the share down to adjacent doubles. The two
+are one residual
 
     kappa * beta * ln(1 + h_first*eps/beta) - (1 - beta) * ln(1 + h23*k*eps/(1 - beta))
 
@@ -31,19 +32,22 @@ from .rootfind import Bracket, solve_monotone
 # log of infinity.
 _BETA_LO = 1e-15
 _BETA_HI = 1.0 - 1e-15
-_BETA_TOL = 1e-14
+# bisection reaches adjacent doubles of [_BETA_LO, _BETA_HI] within 103
+# halvings (ulp(1e-15) = 2**-102); the solver halves once per 3 evaluations
+_MAX_EVALS = 3 * 103
 
 
 def _allocate(protocol: Protocol, h_first: float, h23: float, op: OperatingPoint) -> Allocation:
     eps, k = op.epsilon, op.k
     kappa = k if protocol is Protocol.NCP else k + 1.0
+    chord1, chord2 = h_first * eps, h23 * k * eps
 
     def residual(b: float) -> float:
-        return kappa * b * math.log1p(h_first * eps / b) - (1.0 - b) * math.log1p(h23 * k * eps / (1.0 - b))
+        return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
 
     bracket = Bracket.scan(residual, _BETA_LO, _BETA_HI)
-    beta = solve_monotone(residual, bracket, abs_tol=_BETA_TOL)
-    base_rate = beta * math.log1p(h_first * eps / beta)
+    beta = solve_monotone(residual, bracket, abs_tol=math.ulp(0.0), max_iter=_MAX_EVALS)
+    base_rate = beta * math.log1p(chord1 / beta)
     rate2 = k * base_rate
     return Allocation(protocol, beta, base_rate, rate2, base_rate + rate2)
 

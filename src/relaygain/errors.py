@@ -34,8 +34,16 @@ class NoSignChangeError(RelayGainError):
         )
 
 
+class NaNResidualError(RelayGainError):
+    """A residual evaluated to NaN, so it has no sign to bracket a root with."""
+
+    def __init__(self, x: float):
+        self.x = x
+        super().__init__(f"residual is NaN at {x!r}: no sign to bracket a root with")
+
+
 class IterationLimitError(RelayGainError):
-    """Bisection exceeded max_iter; carries the last bracket reached."""
+    """A root solve exceeded max_iter; carries the last bracket reached."""
 
     def __init__(self, lo: float, hi: float, iterations: int):
         self.lo, self.hi, self.iterations = lo, hi, iterations

@@ -86,7 +86,7 @@ def _suite_duality() -> list[CheckResult]:
             rate = allocate(gains, op).base_rate
             recovered = min_tern(protocol, gains, k, rate).epsilon_min
             worst = max(worst, abs(recovered - eps) / eps)
-    return [CheckResult("duality.roundtrip", worst <= 1e-6,
+    return [CheckResult("duality.roundtrip", worst <= 1e-12,
                         f"100 instances x 2 protocols, worst relative error {worst:.3e}")]
 
 

@@ -1,11 +1,15 @@
+import csv
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+import relaygain.allocation as allocation
 from relaygain import (LinkGains, OperatingPoint, Protocol, collaboration_gain,
-                       cp_allocate, ncp_allocate)
+                       collinear_gains, cp_allocate, grid_values, ncp_allocate)
+from relaygain.cli import main
 from relaygain.errors import DeadLinkError
 
 LN3 = math.log(3)
@@ -165,3 +169,132 @@ class TestInvariants:
                 grid_argmin(ncp_residual, gains, op), abs=1e-5)
             assert cp_allocate(gains, op).beta == pytest.approx(
                 grid_argmin(cp_residual, gains, op), abs=1e-5)
+
+
+def mp_share(mp, protocol, gains, op, start):
+    """(beta, base_rate, band) at 50 digits, by Newton steps on the share residual from `start`.
+
+    band bounds how far the root of the float residual may sit from beta: each of
+    the residual's two terms T carries a few rounding errors, so band is
+    3 * 2**-52 * (T1 + T2) / residual'(beta).
+    """
+    with mp.workdps(50):
+        eps, k, h23 = mp.mpf(op.epsilon), mp.mpf(op.k), mp.mpf(gains.h23)
+        c1 = mp.mpf(gains.h13 if protocol is Protocol.NCP else gains.h12) * eps
+        c2 = h23 * k * eps
+        kappa = k if protocol is Protocol.NCP else k + 1
+        beta = mp.mpf(start)
+        for _ in range(8):
+            log1, log2 = mp.log1p(c1 / beta), mp.log1p(c2 / (1 - beta))
+            t1, t2 = kappa * beta * log1, (1 - beta) * log2
+            slope = kappa * (log1 - c1 / (beta + c1)) + log2 - c2 / (1 - beta + c2)
+            step = (t1 - t2) / slope
+            beta -= step
+            if abs(step) <= mp.mpf("1e-45") * beta:
+                band = 3 * mp.mpf(2) ** -52 * (t1 + t2) / slope
+                return beta, beta * mp.log1p(c1 / beta), band
+        raise AssertionError(f"no Newton convergence from {start!r}")
+
+
+def _log_uniform(rng, scale):
+    return math.exp(rng.uniform(-scale, scale))
+
+
+class TestShareAgainstMpmath:
+    def test_shares_within_four_ulps_and_the_rounding_band(self):
+        """Over 600 seeded shares (gains e^+-7, eps e^+-9, k e^+-4.6), each lies
+        within 4 ulps of the 50-digit root, widened where the residual's own
+        rounding band is wider (about 1 share in 200)."""
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(2008)
+        for _ in range(300):
+            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
+            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            for alloc in (ncp_allocate(gains, op), cp_allocate(gains, op)):
+                beta, _, band = mp_share(mp, alloc.protocol, gains, op, alloc.beta)
+                assert abs(alloc.beta - beta) <= 4 * math.ulp(float(beta)) + band, (gains, op)
+
+    def test_evaluations_per_share(self, monkeypatch):
+        """Residual evaluations per share solve, beyond the bracket's two, on the
+        README collinear sweep: at most 14 on average (12.2 measured; plain
+        bisection took 47), and within the stated bound."""
+        counts = []
+
+        def counting(f, bracket, **kwargs):
+            def g(b):
+                counts[-1] += 1
+                return f(b)
+            counts.append(0)
+            return solve(g, bracket, **kwargs)
+
+        solve = allocation.solve_monotone
+        monkeypatch.setattr(allocation, "solve_monotone", counting)
+        op = OperatingPoint(0.01, 1.0)
+        for d in grid_values(0.01, 0.99, 0.001):
+            collaboration_gain(collinear_gains(d, 2.0), op)
+        assert sum(counts) / len(counts) <= 14
+        assert max(counts) <= allocation._MAX_EVALS
+
+
+# The README's rate sweeps, and the stride of rows checked in each.
+README_RATE_SWEEPS = {
+    "plane": (["--kind", "plane_gain", "--x-min", "-1", "--x-max", "1", "--x-step", "0.01",
+               "--y-min", "-0.75", "--y-max", "0.75", "--y-step", "0.01",
+               "--epsilon", "0.01", "--k", "0.1", "--eta", "3"], 41),
+    "collinear_a": (["--kind", "collinear_gain", "--d-min", "0.01", "--d-max", "0.99",
+                     "--d-step", "0.001", "--epsilon", "0.01", "--k", "1", "--eta", "2"], 3),
+    "collinear_b": (["--kind", "collinear_gain", "--d-min", "0.01", "--d-max", "0.99",
+                     "--d-step", "0.001", "--epsilon", "0.1", "--k", "1", "--eta", "2"], 3),
+    "rate_ratio": (["--kind", "rate_ratio", "--k-min", "0.1", "--k-max", "10", "--k-step", "0.1",
+                    "--d", "0.5", "--epsilon", "0.01", "--eta", "3"], 1),
+}
+
+
+def _readme_points(name, argv):
+    """(gains, op) of every row of a README rate sweep, in CSV order; None on an endpoint."""
+    opt = dict(zip(argv[::2], argv[1::2]))
+
+    def axis(a):
+        return grid_values(float(opt[f"--{a}-min"]), float(opt[f"--{a}-max"]),
+                           float(opt[f"--{a}-step"]))
+
+    eta = float(opt["--eta"])
+    if name == "plane":
+        op = OperatingPoint(float(opt["--epsilon"]), float(opt["--k"]))
+        for x, y in itertools.product(axis("x"), axis("y")):
+            d12_sq, d23_sq = (x + 0.5) ** 2 + y * y, (x - 0.5) ** 2 + y * y
+            yield ((LinkGains(d12_sq ** (-eta / 2), 1.0, d23_sq ** (-eta / 2)), op)
+                   if d12_sq and d23_sq else None)
+    elif name == "rate_ratio":
+        gains = collinear_gains(float(opt["--d"]), eta)
+        for k in axis("k"):
+            yield gains, OperatingPoint(float(opt["--epsilon"]), k)
+    else:
+        op = OperatingPoint(float(opt["--epsilon"]), float(opt["--k"]))
+        for d in axis("d"):
+            yield collinear_gains(d, eta), op
+
+
+@pytest.mark.parametrize("name", sorted(README_RATE_SWEEPS))
+def test_readme_rate_csv_matches_mpmath(name, tmp_path):
+    """Every checked cell of a README rate sweep is the 12-digit rounding of its 50-digit value."""
+    mp = pytest.importorskip("mpmath")
+    argv, stride = README_RATE_SWEEPS[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    points = list(_readme_points(name, argv))
+    assert len(rows) == len(points)
+    for i in range(0, len(rows), stride):
+        if rows[i]["degenerate"] == "true":
+            continue
+        row, (gains, op) = rows[i], points[i]
+        beta_ncp, rate_ncp, _ = mp_share(mp, Protocol.NCP, gains, op, ncp_allocate(gains, op).beta)
+        beta_cp, rate_cp, _ = mp_share(mp, Protocol.CP, gains, op, cp_allocate(gains, op).beta)
+        with mp.workdps(50):
+            gain = rate_cp / rate_ncp
+        expected = {"gain": gain, "beta_ncp": beta_ncp, "beta_cp": beta_cp,
+                    "rate_ncp": rate_ncp, "rate_cp": rate_cp}
+        assert {c: row[c] for c in expected} == {
+            c: format(float(v), ".12g") for c, v in expected.items()}, f"row {i}"

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+import relaygain.energy as energy
 from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_allocate,
                        energy_gain, feasibility_bound, feasible, grid_values, min_tern,
-                       ncp_allocate, resource_usage)
+                       ncp_allocate, resource_usage, sweep)
 from relaygain.cli import main
 from relaygain.errors import DeadLinkError, InfeasibleRateError, ValidationError
 
@@ -144,6 +145,12 @@ class TestSlotExtremes:
             with pytest.raises(ValidationError, match="below the normal float range"):
                 resource_usage(protocol, ONES, OperatingPoint(1, 1), 1e-306)
 
+    def test_share_above_float_range_is_a_validation_error(self):
+        # a demand within an ulp of a chord of 1e300 needs a share of about 2e315
+        huge = LinkGains(1e300, 1e300, 1e300)
+        with pytest.raises(ValidationError, match="above the float range"):
+            resource_usage(Protocol.NCP, huge, OperatingPoint(1, 1), math.nextafter(1e300, 0))
+
     # shares from a 50-digit mpmath Lambert-W solve of beta*ln(1 + h*eps/beta) = target
     @pytest.mark.parametrize("protocol, beta1, beta2", [
         (Protocol.NCP, 1.4107315187845726e-8, 1.4107315187845726e-8),
@@ -188,6 +195,8 @@ class TestMinTernRange:
         (Protocol.CP, 700.0, "2099.36"),
         (Protocol.NCP, 700.0, "1399.31"),
         (Protocol.CP, 300.0, "899.364"),
+        # R/b and 2R/(1-b) overflow together near b = 1/2
+        (Protocol.NCP, 1e308, "1e+308"),
     ])
     def test_overflow_is_a_validation_error(self, protocol, rate, log_eps):
         with pytest.raises(ValidationError) as err:
@@ -205,6 +214,35 @@ class TestMinTernRange:
         sol = min_tern(Protocol.CP, ONES, 1.0, rate)
         assert sol.epsilon_min == pytest.approx(eps_min, rel=1e-12)
         assert sol.beta == pytest.approx(beta, rel=1e-12)
+
+
+class TestSolveCounts:
+    """Residual evaluations per solve, beyond the bracket's two, on README sweeps:
+    19.5 per min_tern and 17.0 per slot measured (bisection took 54.6 and 46.8)."""
+
+    def test_min_tern_and_slot_evaluations(self, monkeypatch):
+        counts = {"min_tern": [], "slot": []}
+        solve = energy.solve_monotone
+
+        def counting(f, bracket, **kwargs):
+            calls = counts["min_tern" if bracket.lo == 0.0 else "slot"]
+            calls.append(0)
+
+            def g(x):
+                calls[-1] += 1
+                return f(x)
+            return solve(g, bracket, **kwargs)
+
+        monkeypatch.setattr(energy, "solve_monotone", counting)
+        sweep("energy_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
+                               "k": 1.0, "eta": 3.0, "rate": 0.01})
+        sweep("resource_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
+                                 "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.005})
+        bounds = {"min_tern": 3 * energy._SHARE_HALVINGS, "slot": 3 * energy._SLOT_HALVINGS}
+        assert {name: len(calls) for name, calls in counts.items()} == {"min_tern": 182, "slot": 364}
+        for name, calls in counts.items():
+            assert sum(calls) / len(calls) <= 22, name
+            assert max(calls) <= bounds[name], name
 
 
 def _log_uniform(rng, lo, hi):
@@ -272,5 +310,51 @@ class TestMinTernAgainstMpmath:
             eps_ncp = mp.exp(mp_min_tern(mp, Protocol.NCP, gains, 1.0, 0.01)[0])
             eps_cp = mp.exp(mp_min_tern(mp, Protocol.CP, gains, 1.0, 0.01)[0])
             expected = {"energy_ratio": eps_ncp / eps_cp, "eps_ncp": eps_ncp, "eps_cp": eps_cp}
+            assert {c: row[c] for c in expected} == {
+                c: format(float(v), ".12g") for c, v in expected.items()}, f"d={d!r}"
+
+
+def mp_slot(mp, h, eps_user, target, start):
+    """beta with beta*ln(1 + h*eps_user/beta) = target at 50 digits, by Newton steps from `start`."""
+    with mp.workdps(50):
+        chord, target, beta = mp.mpf(h) * mp.mpf(eps_user), mp.mpf(target), mp.mpf(start)
+        for _ in range(8):
+            log_term = mp.log1p(chord / beta)
+            step = (beta * log_term - target) / (log_term - chord / (beta + chord))
+            beta -= step
+            if abs(step) <= mp.mpf("1e-45") * beta:
+                return beta
+        raise AssertionError(f"no Newton convergence from {start!r}")
+
+
+class TestResourceAgainstMpmath:
+    def test_readme_resource_csv_matches_mpmath(self, tmp_path):
+        """Every solved cell of the README resource_ratio sweep is the
+        12-digit rounding of its 50-digit value."""
+        mp = pytest.importorskip("mpmath")
+        out = tmp_path / "resource.csv"
+        assert main(["sweep", "--kind", "resource_ratio", "--d-min", "0.05", "--d-max", "0.95",
+                     "--d-step", "0.01", "--epsilon", "0.01", "--k", "1", "--eta", "3",
+                     "--rate", "0.005", "--out", str(out)]) == 0
+        with out.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        grid = grid_values(0.05, 0.95, 0.01)
+        assert len(rows) == len(grid) == 91
+        op, rate = OperatingPoint(0.01, 1.0), 0.005
+        for d, row in zip(grid, rows):
+            assert row["feasible"] == "true"
+            gains = collinear_gains(d, 3.0)
+            totals = {}
+            with mp.workdps(50):
+                for protocol in Protocol:
+                    usage = resource_usage(protocol, gains, op, rate)
+                    h_first = gains.h13 if protocol is Protocol.NCP else gains.h12
+                    kappa = op.k if protocol is Protocol.NCP else op.k + 1
+                    totals[protocol] = (
+                        mp_slot(mp, h_first, op.epsilon, rate, usage.beta1)
+                        + mp_slot(mp, gains.h23, mp.mpf(op.k) * op.epsilon, mp.mpf(kappa) * rate,
+                                  usage.beta2))
+                expected = {"resource_ratio": totals[Protocol.NCP] / totals[Protocol.CP],
+                            "total_ncp": totals[Protocol.NCP], "total_cp": totals[Protocol.CP]}
             assert {c: row[c] for c in expected} == {
                 c: format(float(v), ".12g") for c, v in expected.items()}, f"d={d!r}"

@@ -4,7 +4,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaygain import Bracket, ValidationError, solve_monotone
-from relaygain.errors import IterationLimitError, NoSignChangeError
+from relaygain.errors import IterationLimitError, NaNResidualError, NoSignChangeError
+
+
+def counted(f):
+    """f with a count of its evaluations in .calls."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+# Roots of high order, where secant steps stall and the bisection safeguard
+# sets the pace; none reaches adjacent doubles in hundreds of evaluations.
+SLOW = {
+    "cube": lambda x: x ** 3,
+    "fifth": lambda x: x ** 5,
+    "cbrt": lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
+}
+# Steep, convex and triple-root cases for the evaluation bound.
+BOUND_CASES = {
+    "steep": (lambda x: math.atan(1e4 * (x - 1.0 / 3.0)), 0.0, 1.0),
+    "flat": (lambda x: math.expm1(30.0 * x) - 1.0, 0.0, 1.0),
+    "cube": (SLOW["cube"], -1.0, 2.0),
+}
 
 
 def test_linear_root():
@@ -41,20 +65,82 @@ def test_no_sign_change_is_structured():
 
 
 def test_iteration_limit_carries_last_bracket():
-    f = lambda x: x - 1.0 / 3.0
+    f = lambda x: x ** 3 - 1.0 / 27.0
     with pytest.raises(IterationLimitError) as err:
         solve_monotone(f, Bracket.scan(f, 0.0, 1.0), abs_tol=1e-300, max_iter=10)
-    width = err.value.hi - err.value.lo
-    assert width <= 1.0 / 2 ** 10 + 1e-15
+    assert err.value.iterations == 10
+    assert err.value.hi - err.value.lo <= 1.0 / 2 ** 3
     assert err.value.lo <= 1.0 / 3.0 <= err.value.hi
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 40])
 def test_halving_invariant(n):
-    f = lambda x: x - math.pi / 4
-    with pytest.raises(IterationLimitError) as err:
-        solve_monotone(f, Bracket.scan(f, 0.0, 1.0), abs_tol=1e-300, max_iter=n)
-    assert err.value.hi - err.value.lo <= 1.0 / 2 ** n * (1 + 1e-12)
+    """After n evaluations the width is at most W * 2**-floor(n/3)."""
+    for name, f in SLOW.items():
+        with pytest.raises(IterationLimitError) as err:
+            solve_monotone(f, Bracket.scan(f, -1.0, 2.0), abs_tol=1e-300, max_iter=n)
+        width = err.value.hi - err.value.lo
+        assert width <= 3.0 / 2 ** (n // 3) * (1 + 1e-12), name
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CASES))
+def test_evaluation_bound(name):
+    """Where bisection needs m halvings, the solver needs at most 3*m evaluations."""
+    f, lo, hi = BOUND_CASES[name]
+    halvings = math.ceil(math.log2((hi - lo) / 1e-12))
+    g = counted(f)
+    bracket = Bracket.scan(g, lo, hi)
+    g.calls = 0
+    root = solve_monotone(g, bracket, abs_tol=1e-12, max_iter=3 * halvings)
+    assert g.calls <= 3 * halvings
+    assert bracket.lo <= root <= bracket.hi
+    assert f(root - 1e-12) <= 0.0 <= f(root + 1e-12)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x * x - 2.0, 1.0, 2.0),
+    (lambda x: math.log(x) - 1.0, 1.0, 4.0),
+    (lambda x: math.tanh(x - 0.3), -2.0, 5.0),
+    (lambda x: math.expm1(x) - 1e-300, -1.0, 1.0),
+], ids=["square", "log", "tanh", "expm1"])
+def test_stops_at_adjacent_doubles(f, lo, hi):
+    root = solve_monotone(f, Bracket.scan(f, lo, hi), abs_tol=math.ulp(0.0))
+    below, above = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    assert f(root) == 0.0 or f(below) < 0.0 < f(above)
+
+
+@pytest.mark.parametrize("f, lo, hi, root", [
+    (lambda x: 1.0 if x > 0.3 else -1e-300, 0.3, 1.0, 0.3),
+    (lambda x: -1.0 if x < 0.7 else 1e-300, 0.0, 0.7, math.nextafter(0.7, 0.0)),
+], ids=["lo_end", "hi_end"])
+def test_secant_on_an_end_steps_one_double_inside(f, lo, hi, root):
+    """The secant rounds onto the end whose value is tiny; bisection would take ~50 steps."""
+    g = counted(f)
+    bracket = Bracket.scan(g, lo, hi)
+    g.calls = 0
+    found = solve_monotone(g, bracket, abs_tol=math.ulp(0.0))
+    assert g.calls == 1
+    assert found in (root, math.nextafter(root, math.inf))
+
+
+def test_bracket_carries_end_values():
+    f = counted(lambda x: x - 0.25)
+    bracket = Bracket.scan(f, 0.0, 1.0)
+    assert (bracket.f_lo, bracket.f_hi, f.calls) == (-0.25, 0.75, 2)
+
+
+def test_nan_endpoint_is_structured():
+    f = lambda x: x - 0.5 if x > 0.0 else math.nan
+    with pytest.raises(NaNResidualError) as err:
+        Bracket.scan(f, 0.0, 1.0)
+    assert err.value.x == 0.0
+
+
+def test_nan_inside_bracket_is_structured():
+    f = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5
+    with pytest.raises(NaNResidualError) as err:
+        solve_monotone(f, Bracket.scan(f, 0.0, 1.0))
+    assert 0.2 < err.value.x < 0.8
 
 
 def test_determinism_bitwise():
@@ -75,6 +161,8 @@ def test_bad_bracket_rejected():
         Bracket(1.0, 0.0, -1, 1)
     with pytest.raises(ValidationError):
         Bracket(0.0, 1.0, 1, 1)
+    with pytest.raises(ValidationError):
+        Bracket(0.0, 1.0, math.nan, 1)
 
 
 @settings(max_examples=100, deadline=None)
