@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocation import collaboration_gain
-from .energy import _solve_slot, feasibility_bound, resource_usage
+from .energy import _pair_slots, _solve_slot, feasibility_bound
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import LinkGains, OperatingPoint, Protocol, _check_positive
 
@@ -148,10 +148,13 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
 
 def _pair_usage(protocol: Protocol, h_sd: float, pair: LinkGains | None,
                 op: OperatingPoint, rate: float) -> float:
-    """Total resource used by the pair (source slot + partner slot)."""
+    """Total resource used by the pair (source slot + partner slot), for a rate
+    that `select_relay_resource` has checked against the pair's bound."""
     if pair is None:
         return _solve_slot(h_sd, op.epsilon, rate)
-    return resource_usage(protocol, pair, op, rate).total
+    h_first = pair.h13 if protocol is Protocol.NCP else pair.h12
+    beta1, beta2 = _pair_slots(protocol, h_first, pair.h23, op, rate)
+    return beta1 + beta2
 
 
 def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[RelayCandidate, ...],

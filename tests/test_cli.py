@@ -51,6 +51,8 @@ GOLDEN_SCENARIOS = {
 # case: (argv, scenario, exit code, text stdout, sha256 of json stdout, stderr)
 # The JSON digests of the share-backed cases were recorded again once the share
 # solve stopped on adjacent doubles: JSON prints full repr, the text 12 digits.
+# Those of resource and select_resource were recorded again for the Newton slot;
+# each changed number moved onto, or nearer to, its 50-digit mpmath value.
 GOLDEN = {
     "gain": (["gain"], "pair", 0,
         "NCP  beta=0.911281389584 base_rate=0.39859596351 rate2=0.199297981755 sum_rate=0.597893945265\n"
@@ -68,7 +70,7 @@ GOLDEN = {
         "NCP  beta1=0.123549213686 beta2=0.0309893108533 total=0.154538524539\n"
         "CP   beta1=0.0553257932671 beta2=0.185323820528 total=0.240649613796\n"
         "resource_ratio=0.642172335544\n",
-        "eca9b1f13806cddb8c09b189af95d61130a855e57a6dcf8af53a3f26a7da9bd7",
+        "85bc021a7cbd89b9de47ba324caee01a0447281590db00dc9a7375d7d344d628",
         ""),
     "bounds": (["bounds"], "pair", 0,
         "ncp_high_tern  lower=0.297639102044 upper=0.422075248491 beta= degenerate=false\n"
@@ -85,7 +87,7 @@ GOLDEN = {
         ""),
     "select_resource": (["select", "--mode", "resource"], "pair", 0,
         "protocol=NCP relay=- criterion=0.141668928598 exact_gain= advisory=false\n",
-        "18dc2410e10e64e11f32ddf27749d7ccc4dc48ae7f0723d62fbafe5d6532824d",
+        "0a2a117f3401334ea56ec2341e87708d0fbe1d0b01bcc1f577a023809b6c8f9f",
         ""),
     "placement": (["placement"], "placement", 0,
         "h12=3.95284707521 h13=1 h23=11.1803398875\n"
