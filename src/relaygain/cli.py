@@ -162,8 +162,8 @@ def cmd_sweep(args) -> int:
     columns = sweep_columns(args.kind)
     # columns: coordinates, value, extras, feasible, degenerate
     extra_names = columns[len(records[0].coords) + 1:-2]
-    rows = [[*rec.coords, rec.gain, *(rec.extra.get(name) for name in extra_names),
-             rec.feasible, rec.degenerate] for rec in records]
+    rows = ([*rec.coords, rec.gain, *(rec.extra.get(name) for name in extra_names),
+             rec.feasible, rec.degenerate] for rec in records)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)

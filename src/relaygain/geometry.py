@@ -12,7 +12,8 @@ the cartesian grid in row-major order (first axis outer), and for every
 kind flags a point degenerate, without evaluating it, when the relay
 sits on an endpoint or a gain exceeds OVERFLOW_GAIN. Symmetric ranges
 are mirrored exactly so that records at (x, y) and (x, -y) are bitwise
-identical.
+identical. Repeated points, mirrored rows included, are solved once per
+sweep: a repeat copies the record of its first occurrence.
 """
 
 from __future__ import annotations
@@ -210,7 +211,13 @@ def sweep_columns(kind: str) -> list[str]:
 
 
 def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
-    """Evaluate one sweep kind over its full grid; see SWEEP_KINDS."""
+    """Evaluate one sweep kind over its full grid; see SWEEP_KINDS.
+
+    A point whose gains and k equal those of a point already solved in its
+    row of the inner axis copies that point's value and extras: an axis sets
+    only the gains or k (the operating point is built from k), so every
+    other input an evaluator reads is fixed.
+    """
     if kind not in _KINDS:
         raise ValidationError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
     spec = _KINDS[kind]
@@ -228,7 +235,10 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
     op = OperatingPoint(fixed["epsilon"], fixed["k"]) if {"epsilon", "k"} <= fixed.keys() else None
     records = []
     p = dict(fixed)
+    solved, row = {}, None
     for coords in itertools.product(*grids):
+        if coords[:-1] != row:
+            solved, row = {}, coords[:-1]
         p.update(zip(spec.axes, coords))
         gains = _point_gains(p)
         if gains is None:
@@ -236,8 +246,15 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
             continue
         if "k" in spec.axes:
             op = OperatingPoint(p["epsilon"], p["k"])
-        value, extra = spec.evaluate(gains, op, p)
+        key = (gains.h12, gains.h13, gains.h23, p["k"])
+        solution = solved.get(key)
+        if solution is None:
+            solution = solved[key] = spec.evaluate(gains, op, p)
+        value, extra = solution
+        # a repeat gets its own copy of the extras
         if "h12" in spec.extras:
             extra = {"h12": gains.h12, "h23": gains.h23, **extra}
+        else:
+            extra = dict(extra)
         records.append(SweepRecord(coords, value, extra, value is not None))
     return records

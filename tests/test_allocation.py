@@ -236,17 +236,20 @@ class TestShareAgainstMpmath:
         assert max(counts) <= allocation._MAX_EVALS
 
 
-# The README's rate sweeps, and the stride of rows checked in each.
+# The README's rate sweeps, the stride of rows checked in each and the
+# name of its CSV in the README.
 README_RATE_SWEEPS = {
     "plane": (["--kind", "plane_gain", "--x-min", "-1", "--x-max", "1", "--x-step", "0.01",
                "--y-min", "-0.75", "--y-max", "0.75", "--y-step", "0.01",
-               "--epsilon", "0.01", "--k", "0.1", "--eta", "3"], 41),
+               "--epsilon", "0.01", "--k", "0.1", "--eta", "3"], 41, "plane.csv"),
     "collinear_a": (["--kind", "collinear_gain", "--d-min", "0.01", "--d-max", "0.99",
-                     "--d-step", "0.001", "--epsilon", "0.01", "--k", "1", "--eta", "2"], 3),
+                     "--d-step", "0.001", "--epsilon", "0.01", "--k", "1", "--eta", "2"], 3,
+                    "collinear_a.csv"),
     "collinear_b": (["--kind", "collinear_gain", "--d-min", "0.01", "--d-max", "0.99",
-                     "--d-step", "0.001", "--epsilon", "0.1", "--k", "1", "--eta", "2"], 3),
+                     "--d-step", "0.001", "--epsilon", "0.1", "--k", "1", "--eta", "2"], 3,
+                    "collinear_b.csv"),
     "rate_ratio": (["--kind", "rate_ratio", "--k-min", "0.1", "--k-max", "10", "--k-step", "0.1",
-                    "--d", "0.5", "--epsilon", "0.01", "--eta", "3"], 1),
+                    "--d", "0.5", "--epsilon", "0.01", "--eta", "3"], 1, "ratio.csv"),
 }
 
 
@@ -276,10 +279,11 @@ def _readme_points(name, argv):
 
 
 @pytest.mark.parametrize("name", sorted(README_RATE_SWEEPS))
-def test_readme_rate_csv_matches_mpmath(name, tmp_path):
-    """Every checked cell of a README rate sweep is the 12-digit rounding of its 50-digit value."""
+def test_readme_rate_csv_matches_mpmath(name, tmp_path, readme_csv_sha256):
+    """Every checked cell of a README rate sweep is the 12-digit rounding of its
+    50-digit value, and the file has the README's sha256."""
     mp = pytest.importorskip("mpmath")
-    argv, stride = README_RATE_SWEEPS[name]
+    argv, stride, readme_name = README_RATE_SWEEPS[name]
     out = tmp_path / f"{name}.csv"
     assert main(["sweep", *argv, "--out", str(out)]) == 0
     with out.open(newline="") as handle:
@@ -298,3 +302,4 @@ def test_readme_rate_csv_matches_mpmath(name, tmp_path):
                     "rate_ncp": rate_ncp, "rate_cp": rate_cp}
         assert {c: row[c] for c in expected} == {
             c: format(float(v), ".12g") for c, v in expected.items()}, f"row {i}"
+    readme_csv_sha256(out, readme_name)

@@ -308,9 +308,9 @@ class TestMinTernAgainstMpmath:
                 matched += 1
         assert matched >= 1100
 
-    def test_readme_energy_csv_matches_mpmath(self, tmp_path):
+    def test_readme_energy_csv_matches_mpmath(self, tmp_path, readme_csv_sha256):
         """Every printed cell of the README energy_ratio sweep is the
-        12-digit rounding of its 50-digit value."""
+        12-digit rounding of its 50-digit value, and the file has the README's sha256."""
         mp = pytest.importorskip("mpmath")
         out = tmp_path / "energy.csv"
         assert main(["sweep", "--kind", "energy_ratio", "--d-min", "0.05", "--d-max", "0.95",
@@ -328,6 +328,7 @@ class TestMinTernAgainstMpmath:
             expected = {"energy_ratio": eps_ncp / eps_cp, "eps_ncp": eps_ncp, "eps_cp": eps_cp}
             assert {c: row[c] for c in expected} == {
                 c: format(float(v), ".12g") for c, v in expected.items()}, f"d={d!r}"
+        readme_csv_sha256(out, "energy.csv")
 
 
 def mp_slot(mp, h, eps_user, target, start):
@@ -344,9 +345,9 @@ def mp_slot(mp, h, eps_user, target, start):
 
 
 class TestResourceAgainstMpmath:
-    def test_readme_resource_csv_matches_mpmath(self, tmp_path):
+    def test_readme_resource_csv_matches_mpmath(self, tmp_path, readme_csv_sha256):
         """Every solved cell of the README resource_ratio sweep is the
-        12-digit rounding of its 50-digit value."""
+        12-digit rounding of its 50-digit value, and the file has the README's sha256."""
         mp = pytest.importorskip("mpmath")
         out = tmp_path / "resource.csv"
         assert main(["sweep", "--kind", "resource_ratio", "--d-min", "0.05", "--d-max", "0.95",
@@ -374,6 +375,7 @@ class TestResourceAgainstMpmath:
                             "total_ncp": totals[Protocol.NCP], "total_cp": totals[Protocol.CP]}
             assert {c: row[c] for c in expected} == {
                 c: format(float(v), ".12g") for c, v in expected.items()}, f"d={d!r}"
+        readme_csv_sha256(out, "resource.csv")
 
 
 def slot_draws(count, seed):

@@ -1,8 +1,11 @@
+import collections
 import hashlib
+import itertools
 import math
 
 import pytest
 
+import relaygain.geometry as geometry
 from relaygain import (LinkGains, OperatingPoint, Placement, collaboration_gain,
                        collinear_gains, gains_from_placement, grid_values,
                        low_tern_gain_limit, max_geometric_gain,
@@ -107,8 +110,60 @@ class TestGridValues:
             grid_values(0.0, 1.0, 2.0)
 
 
+def count_allocations(monkeypatch):
+    """Count the calls the sweep engine makes to each share solver, by name."""
+    calls = collections.Counter()
+    for name in ("ncp_allocate", "cp_allocate"):
+        def counting(*args, _solve=getattr(geometry, name), _name=name):
+            calls[_name] += 1
+            return _solve(*args)
+        monkeypatch.setattr(geometry, name, counting)
+    return calls
+
+
+def unmemoized_sweep(kind, params):
+    """sweep() as it evaluates every grid point, from its own parts: the
+    reference its per-row reuse of repeated points must match exactly."""
+    spec = geometry._KINDS[kind]
+    grids = [grid_values(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
+             for a in spec.axes]
+    records, inputs = [], []
+    for coords in itertools.product(*grids):
+        p = {**{name: params[name] for name in spec.fixed}, **dict(zip(spec.axes, coords))}
+        gains = geometry._point_gains(p)
+        if gains is None:
+            records.append(geometry.SweepRecord(coords, None, {}, degenerate=True))
+            continue
+        op = OperatingPoint(p["epsilon"], p["k"]) if "epsilon" in p else None
+        value, extra = spec.evaluate(gains, op, p)
+        if "h12" in spec.extras:
+            extra = {"h12": gains.h12, "h23": gains.h23, **extra}
+        records.append(geometry.SweepRecord(coords, value, extra, value is not None))
+        inputs.append((gains, op))
+    return records, inputs
+
+
+# One tiny grid per sweep kind with a repeated point: the plane grid is
+# mirrored, and each one-axis grid steps by a quarter ulp of its start, so
+# that rounding repeats the start and then the next double.
+REPEATING_GRIDS = {
+    "plane_gain": {"x_min": -0.25, "x_max": 0.25, "x_step": 0.25,
+                   "y_min": -0.5, "y_max": 0.5, "y_step": 0.5,
+                   "epsilon": 0.01, "k": 1.0, "eta": 3.0},
+    "collinear_gain": {"d_min": 0.5, "d_max": math.nextafter(0.5, 1.0), "d_step": 2.0 ** -55,
+                       "epsilon": 0.01, "k": 1.0, "eta": 3.0},
+    "rate_ratio": {"k_min": 1.0, "k_max": math.nextafter(1.0, 2.0), "k_step": 2.0 ** -54,
+                   "d": 0.3, "epsilon": 0.01, "eta": 3.0},
+    "resource_ratio": {"d_min": 0.5, "d_max": math.nextafter(0.5, 1.0), "d_step": 2.0 ** -55,
+                       "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.005},
+    "energy_ratio": {"d_min": 0.5, "d_max": math.nextafter(0.5, 1.0), "d_step": 2.0 ** -55,
+                     "k": 1.0, "eta": 3.0, "rate": 0.01},
+}
+
+
 class TestSweeps:
-    def test_plane_gain_mirror_symmetry(self):
+    def test_plane_gain_mirror_symmetry(self, monkeypatch):
+        calls = count_allocations(monkeypatch)
         records = sweep("plane_gain", {
             "x_min": -1.0, "x_max": 1.0, "x_step": 0.25,
             "y_min": -0.5, "y_max": 0.5, "y_step": 0.125,
@@ -116,10 +171,29 @@ class TestSweeps:
         ny = 9
         by_coord = {rec.coords: rec for rec in records}
         assert len(records) == 9 * ny
+        # 9x5 distinct points, less the two on an endpoint, each solved once
+        assert calls == {"ncp_allocate": 43, "cp_allocate": 43}
         for (x, y), rec in by_coord.items():
             mirrored = by_coord[(x, -y)]
             assert mirrored.gain == rec.gain
             assert mirrored.extra == rec.extra
+            if y:
+                assert mirrored.extra is not rec.extra
+
+    def test_collinear_gain_solves_every_point(self, monkeypatch):
+        calls = count_allocations(monkeypatch)
+        records = sweep("collinear_gain", {
+            "d_min": 0.1, "d_max": 0.9, "d_step": 0.1,
+            "epsilon": 0.01, "k": 1.0, "eta": 2.0})
+        assert len(records) == 9
+        assert calls == {"ncp_allocate": 9, "cp_allocate": 9}
+
+    @pytest.mark.parametrize("kind", sorted(geometry._KINDS))
+    def test_repeated_points_match_unmemoized_evaluation(self, kind):
+        params = REPEATING_GRIDS[kind]
+        expected, inputs = unmemoized_sweep(kind, params)
+        assert len(set(inputs)) < len(inputs)
+        assert sweep(kind, params) == expected
 
     def test_plane_gain_row_major_order(self):
         records = sweep("plane_gain", {
@@ -214,30 +288,37 @@ class TestSweeps:
 # rounding of its 50-digit value.
 SMALL_SWEEPS = {
     # (-0.5, 0) and (0.5, 0) sit on an endpoint: degenerate rows
-    "plane_gain": (["--x-min", "-0.5", "--x-max", "0.5", "--x-step", "0.25",
-                    "--y-min", "0", "--y-max", "0.5", "--y-step", "0.25",
+    "plane_gain": (["--kind", "plane_gain", "--x-min", "-0.5", "--x-max", "0.5",
+                    "--x-step", "0.25", "--y-min", "0", "--y-max", "0.5", "--y-step", "0.25",
                     "--epsilon", "0.01", "--k", "1", "--eta", "2"],
                    "684fe5f4b14c4a2734c0e6f5b2fbe68d63b8d9ca2b6c4daca424bd2c827a9e43"),
+    # y from -0.5 to 0.5: every row holds mirrored pairs (digest recorded
+    # before sweeps reused repeated points)
+    "plane_gain_mirrored": (["--kind", "plane_gain", "--x-min", "-1", "--x-max", "1",
+                             "--x-step", "0.25", "--y-min", "-0.5", "--y-max", "0.5",
+                             "--y-step", "0.125", "--epsilon", "0.01", "--k", "1", "--eta", "2"],
+                            "c0d7a01850ba63c252cae56e1ab5d9ca38246f65f504ab6c6e4eca1e282f3435"),
     # d=5e-6 pushes h12 past OVERFLOW_GAIN: a degenerate row
-    "collinear_gain": (["--d-min", "5e-6", "--d-max", "0.500005", "--d-step", "0.125",
-                        "--epsilon", "0.01", "--k", "1", "--eta", "3"],
+    "collinear_gain": (["--kind", "collinear_gain", "--d-min", "5e-6", "--d-max", "0.500005",
+                        "--d-step", "0.125", "--epsilon", "0.01", "--k", "1", "--eta", "3"],
                        "fc62bb0115492330336a8ce309db8422d0ac1485b03740514687a8c71338643b"),
-    "rate_ratio": (["--k-min", "0.5", "--k-max", "2", "--k-step", "0.5",
+    "rate_ratio": (["--kind", "rate_ratio", "--k-min", "0.5", "--k-max", "2", "--k-step", "0.5",
                     "--d", "0.5", "--epsilon", "0.01", "--eta", "3"],
                    "f142da7d83a5831839d62cb501eb80404421320a192d135db6c42792ee268d3f"),
     # at d=0.1 the CP chord bound 0.01*0.5/0.9**3 lies below the rate: infeasible
-    "resource_ratio": (["--d-min", "0.1", "--d-max", "0.9", "--d-step", "0.2",
-                        "--epsilon", "0.01", "--k", "1", "--eta", "3", "--rate", "0.008"],
+    "resource_ratio": (["--kind", "resource_ratio", "--d-min", "0.1", "--d-max", "0.9",
+                        "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "3",
+                        "--rate", "0.008"],
                        "bd07187d848ba6b7aae67ff7abe493eb11c65b3c66ec5a7adef956488f2184d0"),
-    "energy_ratio": (["--d-min", "0.3", "--d-max", "0.7", "--d-step", "0.2",
-                      "--k", "1", "--eta", "3", "--rate", "0.01"],
+    "energy_ratio": (["--kind", "energy_ratio", "--d-min", "0.3", "--d-max", "0.7",
+                      "--d-step", "0.2", "--k", "1", "--eta", "3", "--rate", "0.01"],
                      "010aad41f0b773a68f8fffac4a64b0cbb8d7ce95499187f4237fa31bb1052523"),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SMALL_SWEEPS))
-def test_small_sweep_csv_digest(kind, tmp_path):
-    flags, digest = SMALL_SWEEPS[kind]
-    out = tmp_path / f"{kind}.csv"
-    assert main(["sweep", "--kind", kind, *flags, "--out", str(out)]) == 0
+@pytest.mark.parametrize("case", sorted(SMALL_SWEEPS))
+def test_small_sweep_csv_digest(case, tmp_path):
+    flags, digest = SMALL_SWEEPS[case]
+    out = tmp_path / f"{case}.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
