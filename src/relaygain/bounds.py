@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .model import LinkGains, OperatingPoint, _check_positive
 
 # Below this the direct formula for ln(1+c) - c/(1+c) loses ~half its
@@ -57,6 +58,7 @@ def _tangent_construction(h_first: float, h23: float, eps: float, k: float,
     """Intersection (beta, value) of the two tangent lines.
 
     kappa = k for NCP, k+1 for CP; the tangent point sits at 1/(kappa+1).
+    Where both tangent gaps underflow the lines are parallel: no bound.
     """
     m = kappa + 1.0
     a = m * h_first * eps
@@ -64,6 +66,10 @@ def _tangent_construction(h_first: float, h23: float, eps: float, k: float,
     big_a, big_b = math.log1p(a), math.log1p(b)
     gap_a, gap_b = _tangent_gap(a), _tangent_gap(b)
     den = kappa * gap_a + gap_b
+    if den == 0.0:
+        raise ValidationError(f"high-TERN bound undefined: the tangent gaps of user 1's chord "
+                              f"{h_first * eps!r} and user 2's chord {k * h23 * eps!r} "
+                              "underflow to 0")
     upper = (big_a * gap_b + kappa * big_b * gap_a) / (m * den)
     beta = 1.0 / m + kappa * (big_b - big_a) / (m * den)
     return beta, upper
@@ -89,6 +95,9 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
     const = -0.5 * eps * h_a * h_a
     degenerate = abs(quad) <= _DEGENERATE_REL * max(h_a, h_b)
     if degenerate:
+        if lin == 0.0:
+            raise ValidationError(f"low-TERN bound undefined: the parabola slope at "
+                                  f"eps={eps!r} underflows to 0")
         beta = -const / lin
     else:
         disc = math.sqrt(max(lin * lin - 4.0 * quad * const, 0.0))

@@ -13,7 +13,9 @@ kind flags a point degenerate, without evaluating it, when the relay
 sits on an endpoint or a gain exceeds OVERFLOW_GAIN. Symmetric ranges
 are mirrored exactly so that records at (x, y) and (x, -y) are bitwise
 identical. Repeated points, mirrored rows included, are solved once per
-sweep: a repeat copies the record of its first occurrence.
+sweep: a repeat copies the record of its first occurrence. The NCP share
+reads only the direct links, so a rate sweep solves it once per
+(h13, h23) and operating point, however many relay positions share them.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class Placement:
             raise GeometryError("source and destination coincide")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One grid point of a sweep: coordinates, headline value, extras."""
 
@@ -124,37 +126,51 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
-def _point_gains(p: Mapping[str, float]) -> LinkGains | None:
-    """Gains at a sweep point, or None where the point is degenerate.
+def _point_gains(p: Mapping[str, float]) -> tuple[float, float] | None:
+    """(h12, h23) at a sweep point, or None where the point is degenerate;
+    h13 is 1 in every sweep geometry.
 
     Plane gains raise squared distances to -eta/2: going through hypot
-    would move some plane CSV values in the last printed digit.
+    would move some plane CSV values in the last printed digit. The sweep
+    has already checked that its inputs are finite and eta positive, so
+    only the range of d is checked here.
     """
     if "d" in p:
-        gains = collinear_gains(p["d"], p["eta"])
+        d, eta = p["d"], p["eta"]
+        if not 0.0 < d < 1.0:
+            raise ValidationError(f"d must lie in (0, 1), got {d!r}")
+        h12, h23 = d ** -eta, (1.0 - d) ** -eta
     else:
         x, y, half = p["x"], p["y"], p["eta"] / 2.0
         d12_sq = (x + 0.5) ** 2 + y * y
         d23_sq = (x - 0.5) ** 2 + y * y
         if d12_sq == 0.0 or d23_sq == 0.0:
             return None
-        gains = LinkGains(d12_sq ** -half, 1.0, d23_sq ** -half)
-    if gains.h12 > OVERFLOW_GAIN or gains.h23 > OVERFLOW_GAIN:
+        h12, h23 = d12_sq ** -half, d23_sq ** -half
+    if h12 > OVERFLOW_GAIN or h23 > OVERFLOW_GAIN:
         return None
-    return gains
+    return h12, h23
 
 
 # Point evaluators return the headline value (None when the demand is
 # infeasible) and the extra values by column name; sweep() puts h12 and
-# h23 in front where the kind lists them.
+# h23 in front where the kind lists them. The rate evaluator reads and
+# fills the sweep's NCP table: per (h13, eps, k), (beta, base_rate) by h23.
 
-def _rate_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float]):
-    ncp, cp = ncp_allocate(gains, op), cp_allocate(gains, op)
-    return cp.base_rate / ncp.base_rate, {"beta_ncp": ncp.beta, "beta_cp": cp.beta,
-                                          "rate_ncp": ncp.base_rate, "rate_cp": cp.base_rate}
+def _rate_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float], ncp_table: dict):
+    shares = ncp_table.setdefault((gains.h13, op.epsilon, op.k), {})
+    ncp = shares.get(gains.h23)
+    if ncp is None:
+        solved = ncp_allocate(gains, op)
+        ncp = shares[gains.h23] = (solved.beta, solved.base_rate)
+    beta_ncp, rate_ncp = ncp
+    cp = cp_allocate(gains, op)
+    return cp.base_rate / rate_ncp, {"beta_ncp": beta_ncp, "beta_cp": cp.beta,
+                                     "rate_ncp": rate_ncp, "rate_cp": cp.base_rate}
 
 
-def _resource_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float]):
+def _resource_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float],
+                    ncp_table: dict):
     named = {"ncp_feasible": feasible(Protocol.NCP, gains, op, p["rate"]),
              "cp_feasible": feasible(Protocol.CP, gains, op, p["rate"])}
     if not (named["ncp_feasible"] and named["cp_feasible"]):
@@ -164,7 +180,7 @@ def _resource_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float]
     return total_ncp / total_cp, {**named, "total_ncp": total_ncp, "total_cp": total_cp}
 
 
-def _energy_point(gains: LinkGains, op: None, p: Mapping[str, float]):
+def _energy_point(gains: LinkGains, op: None, p: Mapping[str, float], ncp_table: dict):
     eps_ncp = min_tern(Protocol.NCP, gains, p["k"], p["rate"]).epsilon_min
     eps_cp = min_tern(Protocol.CP, gains, p["k"], p["rate"]).epsilon_min
     return eps_ncp / eps_cp, {"eps_ncp": eps_ncp, "eps_cp": eps_cp}
@@ -216,7 +232,8 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
     A point whose gains and k equal those of a point already solved in its
     row of the inner axis copies that point's value and extras: an axis sets
     only the gains or k (the operating point is built from k), so every
-    other input an evaluator reads is fixed.
+    other input an evaluator reads is fixed. Rate kinds also share each NCP
+    share across the whole sweep, keyed on the floats it reads.
     """
     if kind not in _KINDS:
         raise ValidationError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
@@ -235,25 +252,25 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
     op = OperatingPoint(fixed["epsilon"], fixed["k"]) if {"epsilon", "k"} <= fixed.keys() else None
     records = []
     p = dict(fixed)
-    solved, row = {}, None
+    solved, row, ncp_table = {}, None, {}
     for coords in itertools.product(*grids):
         if coords[:-1] != row:
             solved, row = {}, coords[:-1]
         p.update(zip(spec.axes, coords))
-        gains = _point_gains(p)
-        if gains is None:
+        h = _point_gains(p)
+        if h is None:
             records.append(SweepRecord(coords, None, {}, degenerate=True))
             continue
-        if "k" in spec.axes:
-            op = OperatingPoint(p["epsilon"], p["k"])
-        key = (gains.h12, gains.h13, gains.h23, p["k"])
+        key = (*h, p["k"])
         solution = solved.get(key)
         if solution is None:
-            solution = solved[key] = spec.evaluate(gains, op, p)
+            if "k" in spec.axes:
+                op = OperatingPoint(p["epsilon"], p["k"])
+            solution = solved[key] = spec.evaluate(LinkGains(h[0], 1.0, h[1]), op, p, ncp_table)
         value, extra = solution
         # a repeat gets its own copy of the extras
         if "h12" in spec.extras:
-            extra = {"h12": gains.h12, "h23": gains.h23, **extra}
+            extra = {"h12": h[0], "h23": h[1], **extra}
         else:
             extra = dict(extra)
         records.append(SweepRecord(coords, value, extra, value is not None))

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -8,6 +9,8 @@ from relaygain import (LinkGains, OperatingPoint, collaboration_gain, cp_allocat
                        low_tern_gain_limit, ncp_allocate, ncp_bounds_high_tern,
                        ncp_bounds_low_tern, small_k_gain_slope)
 from relaygain.bounds import _tangent_construction, _tangent_gap
+import relaygain.verify as verify
+from relaygain.errors import ValidationError
 from relaygain.verify import GRID_EPS, GRID_GAINS, GRID_K, sandwich_violations
 
 LN2, LN3 = math.log(2), math.log(3)
@@ -111,6 +114,17 @@ class TestSandwichGrid:
         assert checked == len(GRID_GAINS) ** 3 * len(GRID_EPS) * len(GRID_K) * 4
         assert violations == 0
 
+    def test_each_exact_rate_solved_once_per_input_it_reads(self, monkeypatch):
+        # NCP reads (h13, h23) and CP (h12, h23): 5*5 gain pairs x 5 eps x 3 k each
+        calls = collections.Counter()
+        for name in ("ncp_allocate", "cp_allocate"):
+            def counting(*args, _solve=getattr(verify, name), _name=name):
+                calls[_name] += 1
+                return _solve(*args)
+            monkeypatch.setattr(verify, name, counting)
+        assert sandwich_violations() == (7500, 0)
+        assert calls == {"ncp_allocate": 375, "cp_allocate": 375}
+
 
 class TestLimits:
     def test_low_tern_gain_limit_values(self):
@@ -177,3 +191,18 @@ class TestTangentConstruction:
             a = (k + 1.0) * h13 * eps
             tangent = math.log1p(a) / (k + 1.0) + (beta - 1.0 / (k + 1.0)) * _tangent_gap(a)
             assert tangent == pytest.approx(upper, rel=1e-9)
+
+
+class TestUnderflow:
+    # every gain, eps and k at 1e-300: each chord underflows, so the tangent
+    # lines are parallel and the equal-gain parabola has no slope
+    TINY = LinkGains(1e-300, 1e-300, 1e-300), OperatingPoint(1e-300, 1e-300)
+
+    @pytest.mark.parametrize("bound", [ncp_bounds_high_tern, cp_bounds_high_tern])
+    def test_parallel_tangents_rejected(self, bound):
+        with pytest.raises(ValidationError, match="tangent gaps .* underflow"):
+            bound(*self.TINY)
+
+    def test_flat_parabola_rejected(self):
+        with pytest.raises(ValidationError, match="parabola slope .* underflows"):
+            ncp_bounds_low_tern(*self.TINY)

@@ -230,6 +230,17 @@ class TestBoundsAndPlacement:
         assert payload["optimal_relay_location"] == pytest.approx(0.585786, abs=1e-6)
         assert payload["max_geometric_gain"] == pytest.approx(2.914214, abs=1e-6)
 
+    def test_underflowing_bounds_exit_2_without_traceback(self, tmp_path):
+        tiny = {"gains": {"h12": 1e-300, "h13": 1e-300, "h23": 1e-300},
+                "operating": {"epsilon": 1e-300, "k": 1e-300}}
+        proc = subprocess.run([sys.executable, "-m", "relaygain.cli", "bounds", "--scenario",
+                               write_scenario(tmp_path, tiny)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: high-TERN bound undefined")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_placement_requires_placement_scenario(self, tmp_path):
         assert main(["placement", "--scenario",
                      write_scenario(tmp_path, ONES_SCENARIO)]) == 2

@@ -123,19 +123,21 @@ def count_allocations(monkeypatch):
 
 def unmemoized_sweep(kind, params):
     """sweep() as it evaluates every grid point, from its own parts: the
-    reference its per-row reuse of repeated points must match exactly."""
+    reference its reuse of repeated points and NCP shares must match exactly."""
     spec = geometry._KINDS[kind]
     grids = [grid_values(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
              for a in spec.axes]
     records, inputs = [], []
     for coords in itertools.product(*grids):
         p = {**{name: params[name] for name in spec.fixed}, **dict(zip(spec.axes, coords))}
-        gains = geometry._point_gains(p)
-        if gains is None:
+        h = geometry._point_gains(p)
+        if h is None:
             records.append(geometry.SweepRecord(coords, None, {}, degenerate=True))
             continue
+        gains = LinkGains(h[0], 1.0, h[1])
         op = OperatingPoint(p["epsilon"], p["k"]) if "epsilon" in p else None
-        value, extra = spec.evaluate(gains, op, p)
+        # a fresh NCP table per point: nothing is shared
+        value, extra = spec.evaluate(gains, op, p, {})
         if "h12" in spec.extras:
             extra = {"h12": gains.h12, "h23": gains.h23, **extra}
         records.append(geometry.SweepRecord(coords, value, extra, value is not None))
@@ -152,8 +154,10 @@ REPEATING_GRIDS = {
                    "epsilon": 0.01, "k": 1.0, "eta": 3.0},
     "collinear_gain": {"d_min": 0.5, "d_max": math.nextafter(0.5, 1.0), "d_step": 2.0 ** -55,
                        "epsilon": 0.01, "k": 1.0, "eta": 3.0},
-    "rate_ratio": {"k_min": 1.0, "k_max": math.nextafter(1.0, 2.0), "k_step": 2.0 ** -54,
-                   "d": 0.3, "epsilon": 0.01, "eta": 3.0},
+    # at eps=1 and k=4 one ulp of k moves the NCP share, which a key that
+    # left out k would miss
+    "rate_ratio": {"k_min": 4.0, "k_max": math.nextafter(4.0, 8.0), "k_step": 2.0 ** -52,
+                   "d": 0.3, "epsilon": 1.0, "eta": 3.0},
     "resource_ratio": {"d_min": 0.5, "d_max": math.nextafter(0.5, 1.0), "d_step": 2.0 ** -55,
                        "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.005},
     "energy_ratio": {"d_min": 0.5, "d_max": math.nextafter(0.5, 1.0), "d_step": 2.0 ** -55,
@@ -171,14 +175,28 @@ class TestSweeps:
         ny = 9
         by_coord = {rec.coords: rec for rec in records}
         assert len(records) == 9 * ny
-        # 9x5 distinct points, less the two on an endpoint, each solved once
-        assert calls == {"ncp_allocate": 43, "cp_allocate": 43}
+        # CP: 9x5 distinct points, less the two on an endpoint, each solved
+        # once. NCP reads only h23: x=0.25 and 0.75 (and 0 and 1) reflect
+        # about the destination, and (|x-1/2|, |y|) pairs such as (0.25, 0.5)
+        # and (0.5, 0.25) give bitwise-equal h23
+        assert calls == {"ncp_allocate": 30, "cp_allocate": 43}
         for (x, y), rec in by_coord.items():
             mirrored = by_coord[(x, -y)]
             assert mirrored.gain == rec.gain
             assert mirrored.extra == rec.extra
             if y:
                 assert mirrored.extra is not rec.extra
+
+    def test_readme_plane_grid_solve_counts(self, monkeypatch):
+        # the README plane sweep: CP once per distinct point of a row (the
+        # y-mirror repeats), NCP once per distinct h23 over the whole grid
+        calls = count_allocations(monkeypatch)
+        records = sweep("plane_gain", {
+            "x_min": -1.0, "x_max": 1.0, "x_step": 0.01,
+            "y_min": -0.75, "y_max": 0.75, "y_step": 0.01,
+            "epsilon": 0.01, "k": 0.1, "eta": 3.0})
+        assert len(records) == 201 * 151
+        assert calls == {"ncp_allocate": 8743, "cp_allocate": 15274}
 
     def test_collinear_gain_solves_every_point(self, monkeypatch):
         calls = count_allocations(monkeypatch)
