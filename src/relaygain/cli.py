@@ -10,7 +10,6 @@ floats print with 12 significant digits, CSV uses UNIX line endings and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -41,6 +40,18 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
+
+
+def _csv_cells(values: tuple) -> str:
+    """The cells of `values` as one CSV line: ",".join(map(_fmt, values)).
+
+    A row of floats only is one %-format: '%.12g' % v equals
+    format(v, ".12g") for every float, but it prints a bool as 1 and
+    rejects None, so any other row takes _fmt per value.
+    """
+    if all(type(value) is float for value in values):
+        return ("%.12g," * len(values))[:-1] % values
+    return ",".join(map(_fmt, values))
 
 
 def _row(fields: dict, label: str = "", width: int = 4) -> str:
@@ -162,12 +173,13 @@ def cmd_sweep(args) -> int:
     columns = sweep_columns(args.kind)
     # columns: coordinates, value, extras, feasible, degenerate
     extra_names = columns[len(records[0].coords) + 1:-2]
-    rows = ([*rec.coords, rec.gain, *(rec.extra.get(name) for name in extra_names),
-             rec.feasible, rec.degenerate] for rec in records)
+    # no cell needs CSV quoting: a cell is a number, empty, true or false,
+    # and every column name is an identifier
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+        handle.write(",".join(columns) + "\n")
+        for rec in records:
+            cells = _csv_cells((*rec.coords, rec.gain, *map(rec.extra.get, extra_names)))
+            handle.write(f"{cells},{_fmt(rec.feasible)},{_fmt(rec.degenerate)}\n")
     return EXIT_OK
 
 

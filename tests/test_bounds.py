@@ -126,6 +126,22 @@ class TestSandwichGrid:
         assert calls == {"ncp_allocate": 375, "cp_allocate": 375}
 
 
+class TestInequalitySurvey:
+    def test_each_base_rate_solved_once_per_input_it_reads(self, monkeypatch):
+        # NCP reads (h13, h23) and CP (h12, h23): 3*3 gain pairs x 5 eps x 3 k each
+        calls = collections.Counter()
+        for name in ("ncp_allocate", "cp_allocate"):
+            def counting(*args, _solve=getattr(verify, name), _name=name):
+                calls[_name] += 1
+                return _solve(*args)
+            monkeypatch.setattr(verify, name, counting)
+        assert verify.run_suite("inequality") == [verify.CheckResult(
+            "inequality.survey", None,
+            "gain <= low-TERN limit held at 119 and failed at 286 points; worst "
+            "h=(0.25,4.0,4.0) eps=1000.0 k=10.0: gain 0.8898 > limit 0.0625")]
+        assert calls == {"ncp_allocate": 135, "cp_allocate": 135}
+
+
 class TestLimits:
     def test_low_tern_gain_limit_values(self):
         assert low_tern_gain_limit(LinkGains(8, 1, 8), 1.0) == 4.0

@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from relaygain.cli import main
+from relaygain.cli import _csv_cells, _fmt, main
 
 ONES_SCENARIO = {
     "gains": {"h12": 1.0, "h13": 1.0, "h23": 1.0},
@@ -294,6 +295,14 @@ class TestSelectCommand:
                      "--mode", "resource"]) == 3
 
 
+# floats the one-template row path must print exactly as _fmt does, and the
+# None and bool cells that must never reach that template
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1e300, math.inf, -math.inf, math.nan)))
+CSV_CELLS = st.one_of(CSV_FLOATS, st.none(), st.booleans())
+
+
 class TestSweepCommand:
     def test_csv_shape_and_values(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -307,6 +316,12 @@ class TestSweepCommand:
         first = lines[1].split(",")
         assert first[0] == "0.2"
         assert first[-2:] == ["true", "false"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(CSV_FLOATS, max_size=12), st.lists(CSV_CELLS, max_size=12)))
+    @example([0.5, True, -0.0, False])
+    def test_csv_cells_match_per_value_format(self, row):
+        assert _csv_cells(tuple(row)) == ",".join(map(_fmt, row))
 
     def test_csv_deterministic_across_runs(self, tmp_path):
         args = ["sweep", "--kind", "plane_gain", "--x-min", "-0.4", "--x-max", "0.4",
