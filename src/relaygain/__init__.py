@@ -4,43 +4,53 @@ Exact root solvers for the fair resource-allocation problem of a
 source/partner/destination triple, the rate-energy dual, closed-form
 rate brackets with their asymptotic limits, path-loss geometry sweeps,
 and relay selection over candidate partners.
+
+The package imports lazily (PEP 562): `import relaygain` loads no
+submodule, and the first access to a public name imports its home
+module only.
 """
 
-from .allocation import collaboration_gain, cp_allocate, ncp_allocate
-from .bounds import (BoundPair, cp_bounds_high_tern, cp_bounds_low_tern,
-                     high_tern_gain_limit, low_tern_gain_limit,
-                     ncp_bounds_high_tern, ncp_bounds_low_tern, small_k_gain_slope)
-from .energy import (EnergySolution, ResourceUsage, energy_gain, feasibility_bound,
-                     feasible, min_tern, resource_usage)
-from .errors import (DeadLinkError, GeometryError, InfeasibleRateError,
-                     IterationLimitError, NaNResidualError, NoFeasibleOptionError,
-                     NoSignChangeError, RelayGainError, ValidationError)
-from .geometry import (OVERFLOW_GAIN, Placement, SweepRecord, collinear_gains,
-                       gains_from_placement, grid_values, max_geometric_gain,
-                       optimal_relay_location, sweep, sweep_columns, SWEEP_KINDS)
-from .model import (Allocation, GainReport, LinkGains, OperatingPoint, Protocol,
-                    rate_curve)
-from .rootfind import Bracket, solve_monotone
-from .selection import (Flow, FlowResult, RelayCandidate, SelectionDecision,
-                        evaluate_network, rate_energy_score, select_relay_rate,
-                        select_relay_resource)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Allocation", "BoundPair", "Bracket", "DeadLinkError", "EnergySolution",
-    "Flow", "FlowResult", "GainReport", "GeometryError", "InfeasibleRateError",
-    "IterationLimitError", "LinkGains", "NaNResidualError", "NoFeasibleOptionError",
-    "NoSignChangeError", "OperatingPoint", "OVERFLOW_GAIN", "Placement",
-    "Protocol", "RelayCandidate", "RelayGainError", "ResourceUsage",
-    "SelectionDecision", "SweepRecord", "SWEEP_KINDS", "ValidationError",
-    "collaboration_gain", "collinear_gains", "cp_allocate",
-    "cp_bounds_high_tern", "cp_bounds_low_tern", "energy_gain",
-    "evaluate_network", "feasibility_bound", "feasible", "gains_from_placement",
-    "grid_values", "high_tern_gain_limit", "low_tern_gain_limit",
-    "max_geometric_gain", "min_tern", "ncp_allocate", "ncp_bounds_high_tern",
-    "ncp_bounds_low_tern", "optimal_relay_location", "rate_curve",
-    "rate_energy_score", "resource_usage", "select_relay_rate",
-    "select_relay_resource", "small_k_gain_slope", "solve_monotone", "sweep",
-    "sweep_columns",
-]
+# each public name, in the order of __all__, and the submodule that defines it
+_HOME = {
+    "Allocation": "model", "BoundPair": "bounds", "Bracket": "rootfind",
+    "DeadLinkError": "errors", "EnergySolution": "energy", "Flow": "model",
+    "FlowResult": "selection", "GainReport": "model", "GeometryError": "errors",
+    "InfeasibleRateError": "errors", "IterationLimitError": "errors", "LinkGains": "model",
+    "NaNResidualError": "errors", "NoFeasibleOptionError": "errors",
+    "NoSignChangeError": "errors", "OperatingPoint": "model", "OVERFLOW_GAIN": "geometry",
+    "Placement": "geometry", "Protocol": "model", "RelayCandidate": "model",
+    "RelayGainError": "errors", "ResourceUsage": "energy", "SelectionDecision": "selection",
+    "SweepRecord": "geometry", "SWEEP_KINDS": "geometry", "ValidationError": "errors",
+    "collaboration_gain": "allocation", "collinear_gains": "geometry",
+    "cp_allocate": "allocation", "cp_bounds_high_tern": "bounds",
+    "cp_bounds_low_tern": "bounds", "energy_gain": "energy",
+    "evaluate_network": "selection", "feasibility_bound": "energy", "feasible": "energy",
+    "gains_from_placement": "geometry", "grid_values": "geometry",
+    "high_tern_gain_limit": "bounds", "low_tern_gain_limit": "bounds",
+    "max_geometric_gain": "geometry", "min_tern": "energy", "ncp_allocate": "allocation",
+    "ncp_bounds_high_tern": "bounds", "ncp_bounds_low_tern": "bounds",
+    "optimal_relay_location": "geometry", "rate_curve": "model",
+    "rate_energy_score": "selection", "resource_usage": "energy",
+    "select_relay_rate": "selection", "select_relay_resource": "selection",
+    "small_k_gain_slope": "bounds", "solve_monotone": "rootfind", "sweep": "geometry",
+    "sweep_columns": "geometry",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

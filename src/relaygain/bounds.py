@@ -99,6 +99,9 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
             raise ValidationError(f"low-TERN bound undefined: the parabola slope at "
                                   f"eps={eps!r} underflows to 0")
         beta = -const / lin
+        if beta == 0.0:
+            raise ValidationError(f"low-TERN bound undefined: the parabola peak share at "
+                                  f"eps={eps!r} underflows to 0")
     else:
         disc = math.sqrt(max(lin * lin - 4.0 * quad * const, 0.0))
         q = -0.5 * (lin + math.copysign(disc, lin))

@@ -13,23 +13,51 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from importlib import import_module
 
 from .allocation import collaboration_gain, cp_allocate, ncp_allocate
-from .bounds import (cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
-                     low_tern_gain_limit, ncp_bounds_high_tern, ncp_bounds_low_tern)
 from .energy import min_tern, resource_usage
 from .errors import RelayGainError, ValidationError
-from .geometry import (SWEEP_KINDS, SWEEP_PARAMETERS, max_geometric_gain,
-                       optimal_relay_location, sweep, sweep_columns)
 from .model import Protocol
 from .scenario import load_scenario
-from .selection import evaluate_network, select_relay_rate, select_relay_resource
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
+
+# Names that only some subcommands call, by home module. Each module's names
+# are bound here on first use: by main() before it dispatches a subcommand
+# that needs them, or by an attribute access such as `relaygain.cli.sweep`.
+# A name bound already keeps its value, so a wrapper set here stays in place.
+_LAZY = {
+    "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
+               "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
+    "geometry": ("max_geometric_gain", "optimal_relay_location", "sweep", "sweep_columns"),
+    "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
+    "verify": ("run_suite",),
+}
+
+# The parser's choices, copied so that building it imports neither geometry
+# nor verify: geometry.SWEEP_KINDS, geometry.SWEEP_PARAMETERS, verify.SUITES.
+SWEEP_KINDS = ("plane_gain", "collinear_gain", "rate_ratio", "resource_ratio", "energy_ratio")
+SWEEP_PARAMETERS = ("x_min", "x_max", "x_step", "y_min", "y_max", "y_step", "epsilon", "k",
+                    "eta", "d_min", "d_max", "d_step", "k_min", "k_max", "k_step", "d", "rate")
+SUITES = ("sandwich", "duality", "limits", "placement", "selection", "inequality", "all")
+
+
+def _bind(module: str) -> None:
+    home = import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value) -> str:
@@ -202,19 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "two-user decode-and-forward relaying.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_report(name, report, desc):
+    def add_report(name, report, desc, needs=()):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=cmd_report, report=report)
+        p.set_defaults(func=cmd_report, report=report, needs=needs)
         return p
 
     add_report("gain", report_gain, "optimal allocations for both protocols and the rate gain")
     add_report("energy", report_energy, "minimal TERN for a demanded rate and the energy gain")
     add_report("resource", report_resource, "per-user resource usage for a demanded rate")
-    add_report("bounds", report_bounds, "closed-form rate brackets and asymptotic limits")
-    add_report("placement", report_placement, "geometry report for a placement scenario")
-    p = add_report("select", report_select, "relay selection (single scenario or flow batch)")
+    add_report("bounds", report_bounds, "closed-form rate brackets and asymptotic limits",
+               ("bounds",))
+    add_report("placement", report_placement, "geometry report for a placement scenario",
+               ("geometry",))
+    p = add_report("select", report_select, "relay selection (single scenario or flow batch)",
+                   ("selection",))
     p.add_argument("--mode", choices=("rate", "resource"), default="rate")
 
     p = sub.add_parser("sweep", help="evaluate a parameter sweep and write CSV")
@@ -223,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in SWEEP_PARAMETERS:
         p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
                        dest=flag)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, needs=("geometry",))
 
     p = sub.add_parser("verify", help="run the numerical self-check suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, needs=("verify",))
     return parser
 
 
@@ -237,6 +268,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    for module in args.needs:
+        _bind(module)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -1,4 +1,5 @@
-"""Domain vocabulary: channel gains, operating points, protocols, allocations.
+"""Domain vocabulary: channel gains, operating points, relay candidates and
+flows, protocols, allocations.
 
 All rates are in nats (natural logarithm throughout); gain ratios are
 base-invariant. The shared resource budget is normalized to one unit,
@@ -85,6 +86,42 @@ class OperatingPoint:
     @property
     def epsilon2(self) -> float:
         return self.k * self.epsilon
+
+
+@dataclass(frozen=True)
+class RelayCandidate:
+    """A potential partner with its source-side and destination-side gains."""
+
+    id: str
+    h_sr: float
+    h_rd: float
+
+    def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError(f"candidate id must be a non-empty string, got {self.id!r}")
+        object.__setattr__(self, "h_sr", _check_positive("h_sr", self.h_sr))
+        object.__setattr__(self, "h_rd", _check_positive("h_rd", self.h_rd))
+
+
+@dataclass(frozen=True)
+class Flow:
+    """One source->destination demand with its own operating point and candidates."""
+
+    source: str
+    destination: str
+    h_sd: float
+    epsilon: float
+    k: float
+    rate: float | None = None
+    candidates: tuple[RelayCandidate, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "h_sd", _check_positive("h_sd", self.h_sd))
+        object.__setattr__(self, "epsilon", _check_positive("epsilon", self.epsilon))
+        object.__setattr__(self, "k", _check_positive("k", self.k))
+        if self.rate is not None:
+            object.__setattr__(self, "rate", _check_positive("rate", self.rate))
+        object.__setattr__(self, "candidates", tuple(self.candidates))
 
 
 @dataclass(frozen=True)

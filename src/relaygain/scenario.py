@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .geometry import Placement, gains_from_placement
-from .model import LinkGains, OperatingPoint
-from .selection import Flow, RelayCandidate
+from .model import Flow, LinkGains, OperatingPoint, RelayCandidate
+
+if TYPE_CHECKING:
+    from .geometry import Placement
 
 _TOP_KEYS = {"gains", "placement", "operating", "rate", "candidates", "flows"}
 _FLOW_KEYS = {"source", "destination", "h_sd", "epsilon", "k", "rate", "candidates"}
@@ -97,6 +99,8 @@ def parse_scenario(doc) -> Scenario:
         gains = LinkGains(_number(g, "gains", "h12"), _number(g, "gains", "h13"),
                           _number(g, "gains", "h23"))
     else:
+        # only a placement document needs the geometry module
+        from .geometry import Placement, gains_from_placement
         p = _require_object(top["placement"], "placement",
                             {"source", "destination", "relay", "eta"})
         placement = Placement(_point(p, "placement", "source"),

@@ -22,26 +22,11 @@ from dataclasses import dataclass
 from .allocation import collaboration_gain
 from .energy import _pair_slots, _solve_slot, feasibility_bound
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
-from .model import LinkGains, OperatingPoint, Protocol, _check_positive
+from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
 # eps*h above this marks the rough high-TERN advisory: direct transmission
 # tends to win once received energy dwarfs noise.
 ADVISORY_THRESHOLD = 10.0
-
-
-@dataclass(frozen=True)
-class RelayCandidate:
-    """A potential partner with its source-side and destination-side gains."""
-
-    id: str
-    h_sr: float
-    h_rd: float
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"candidate id must be a non-empty string, got {self.id!r}")
-        object.__setattr__(self, "h_sr", _check_positive("h_sr", self.h_sr))
-        object.__setattr__(self, "h_rd", _check_positive("h_rd", self.h_rd))
 
 
 @dataclass(frozen=True)
@@ -57,27 +42,6 @@ class SelectionDecision:
     def __post_init__(self):
         if (self.protocol is Protocol.NCP) != (self.relay_id is None):
             raise ValidationError("relay_id must be present exactly when protocol is CP")
-
-
-@dataclass(frozen=True)
-class Flow:
-    """One source->destination demand with its own operating point and candidates."""
-
-    source: str
-    destination: str
-    h_sd: float
-    epsilon: float
-    k: float
-    rate: float | None = None
-    candidates: tuple[RelayCandidate, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "h_sd", _check_positive("h_sd", self.h_sd))
-        object.__setattr__(self, "epsilon", _check_positive("epsilon", self.epsilon))
-        object.__setattr__(self, "k", _check_positive("k", self.k))
-        if self.rate is not None:
-            object.__setattr__(self, "rate", _check_positive("rate", self.rate))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
 
 
 @dataclass(frozen=True)

@@ -222,3 +222,11 @@ class TestUnderflow:
     def test_flat_parabola_rejected(self):
         with pytest.raises(ValidationError, match="parabola slope .* underflows"):
             ncp_bounds_low_tern(*self.TINY)
+
+    @pytest.mark.parametrize("bound", [ncp_bounds_low_tern, cp_bounds_low_tern])
+    def test_underflowing_peak_share_rejected(self, bound):
+        # gains 1e-300 square to 0 in the parabola's constant term, so the
+        # equal-gain peak share -const/lin is 0 though the slope is not
+        gains, op = LinkGains(1e-300, 1e-300, 1e-300), OperatingPoint(1e12, 1e300)
+        with pytest.raises(ValidationError, match="parabola peak share .* underflows"):
+            bound(gains, op)

@@ -46,6 +46,9 @@ GOLDEN_SCENARIOS = {
     "dead_link": {"gains": {"h12": 1.0, "h13": 0.0, "h23": 1.0},
                   "operating": {"epsilon": 1.0, "k": 1.0}},
     "no_rate": ONES_SCENARIO,
+    # the equal-gain parabola's peak share underflows to 0 at every low-TERN pair
+    "peak_underflow": {"gains": {"h12": 1e-300, "h13": 1e-300, "h23": 1e-300},
+                       "operating": {"epsilon": 1e12, "k": 1e300}},
     "infeasible": {**PAIR_SCENARIO, "rate": 5.0},
 }
 
@@ -112,6 +115,10 @@ GOLDEN = {
         "",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "error: dead link h13: gain is zero but the solver needs it\n"),
+    "bounds_peak_underflow": (["bounds"], "peak_underflow", 2,
+        "",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: low-TERN bound undefined: the parabola peak share at eps=1000000000000.0 underflows to 0\n"),
     "missing_rate": (["energy"], "no_rate", 2,
         "",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -136,6 +143,116 @@ def test_golden_output(tmp_path, capsys, case, fmt):
         assert out == text
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+
+
+# argparse's text, recorded before the CLI bound its on-demand modules lazily;
+# the parser's choices are copies now and must print exactly as before.
+# argparse wraps at COLUMNS and formats differently across Python versions.
+PARSER_GOLDEN_PYTHON = (3, 11)
+PARSER_HELP = {
+    "top": (["--help"], (
+        "usage: relaygain [-h]\n"
+        "                 {gain,energy,resource,bounds,placement,select,sweep,verify}\n"
+        "                 ...\n"
+        "\n"
+        "Collaboration gains, bounds and relay selection for two-user decode-and-\n"
+        "forward relaying.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {gain,energy,resource,bounds,placement,select,sweep,verify}\n"
+        "    gain                optimal allocations for both protocols and the rate\n"
+        "                        gain\n"
+        "    energy              minimal TERN for a demanded rate and the energy gain\n"
+        "    resource            per-user resource usage for a demanded rate\n"
+        "    bounds              closed-form rate brackets and asymptotic limits\n"
+        "    placement           geometry report for a placement scenario\n"
+        "    select              relay selection (single scenario or flow batch)\n"
+        "    sweep               evaluate a parameter sweep and write CSV\n"
+        "    verify              run the numerical self-check suites\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    )),
+    "sweep": (["sweep", "--help"], (
+        "usage: relaygain sweep [-h] --kind\n"
+        "                       {plane_gain,collinear_gain,rate_ratio,resource_ratio,energy_ratio}\n"
+        "                       --out OUT [--x-min X_MIN] [--x-max X_MAX]\n"
+        "                       [--x-step X_STEP] [--y-min Y_MIN] [--y-max Y_MAX]\n"
+        "                       [--y-step Y_STEP] [--epsilon EPSILON] [--k K]\n"
+        "                       [--eta ETA] [--d-min D_MIN] [--d-max D_MAX]\n"
+        "                       [--d-step D_STEP] [--k-min K_MIN] [--k-max K_MAX]\n"
+        "                       [--k-step K_STEP] [--d D] [--rate RATE]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --kind {plane_gain,collinear_gain,rate_ratio,resource_ratio,energy_ratio}\n"
+        "  --out OUT             output CSV path\n"
+        "  --x-min X_MIN\n"
+        "  --x-max X_MAX\n"
+        "  --x-step X_STEP\n"
+        "  --y-min Y_MIN\n"
+        "  --y-max Y_MAX\n"
+        "  --y-step Y_STEP\n"
+        "  --epsilon EPSILON\n"
+        "  --k K\n"
+        "  --eta ETA\n"
+        "  --d-min D_MIN\n"
+        "  --d-max D_MAX\n"
+        "  --d-step D_STEP\n"
+        "  --k-min K_MIN\n"
+        "  --k-max K_MAX\n"
+        "  --k-step K_STEP\n"
+        "  --d D\n"
+        "  --rate RATE\n"
+    )),
+    "verify": (["verify", "--help"], (
+        "usage: relaygain verify [-h]\n"
+        "                        [--suite {sandwich,duality,limits,placement,selection,inequality,all}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --suite {sandwich,duality,limits,placement,selection,inequality,all}\n"
+    )),
+}
+
+PARSER_ERRORS = {
+    "sweep_kind": (["sweep", "--kind", "nope", "--out", "x.csv"], 2, (
+        "usage: relaygain sweep [-h] --kind\n"
+        "                       {plane_gain,collinear_gain,rate_ratio,resource_ratio,energy_ratio}\n"
+        "                       --out OUT [--x-min X_MIN] [--x-max X_MAX]\n"
+        "                       [--x-step X_STEP] [--y-min Y_MIN] [--y-max Y_MAX]\n"
+        "                       [--y-step Y_STEP] [--epsilon EPSILON] [--k K]\n"
+        "                       [--eta ETA] [--d-min D_MIN] [--d-max D_MAX]\n"
+        "                       [--d-step D_STEP] [--k-min K_MIN] [--k-max K_MAX]\n"
+        "                       [--k-step K_STEP] [--d D] [--rate RATE]\n"
+        "relaygain sweep: error: argument --kind: invalid choice: 'nope' (choose from 'plane_gain', 'collinear_gain', 'rate_ratio', 'resource_ratio', 'energy_ratio')\n"
+    )),
+    "verify_suite": (["verify", "--suite", "nope"], 2, (
+        "usage: relaygain verify [-h]\n"
+        "                        [--suite {sandwich,duality,limits,placement,selection,inequality,all}]\n"
+        "relaygain verify: error: argument --suite: invalid choice: 'nope' (choose from 'sandwich', 'duality', 'limits', 'placement', 'selection', 'inequality', 'all')\n"
+    )),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != PARSER_GOLDEN_PYTHON,
+                    reason="argparse text recorded on Python 3.11")
+@pytest.mark.parametrize("case", sorted(PARSER_HELP))
+def test_parser_help_text(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, text = PARSER_HELP[case]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != PARSER_GOLDEN_PYTHON,
+                    reason="argparse text recorded on Python 3.11")
+@pytest.mark.parametrize("case", sorted(PARSER_ERRORS))
+def test_parser_rejects_unknown_choice(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, code, err = PARSER_ERRORS[case]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)
 
 
 class TestGainCommand:
@@ -239,6 +356,15 @@ class TestBoundsAndPlacement:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: high-TERN bound undefined")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_underflowing_peak_share_exits_2_without_traceback(self, tmp_path):
+        doc = GOLDEN_SCENARIOS["peak_underflow"]
+        proc = subprocess.run([sys.executable, "-m", "relaygain.cli", "bounds", "--scenario",
+                               write_scenario(tmp_path, doc)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: low-TERN bound undefined")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
