@@ -27,13 +27,12 @@ _HOME = {
     "SweepRecord": "geometry", "SWEEP_KINDS": "geometry", "ValidationError": "errors",
     "collaboration_gain": "allocation", "collinear_gains": "geometry",
     "cp_allocate": "allocation", "cp_bounds_high_tern": "bounds",
-    "cp_bounds_low_tern": "bounds", "energy_gain": "energy",
-    "evaluate_network": "selection", "feasibility_bound": "energy", "feasible": "energy",
-    "gains_from_placement": "geometry", "grid_values": "geometry",
-    "high_tern_gain_limit": "bounds", "low_tern_gain_limit": "bounds",
-    "max_geometric_gain": "geometry", "min_tern": "energy", "ncp_allocate": "allocation",
-    "ncp_bounds_high_tern": "bounds", "ncp_bounds_low_tern": "bounds",
-    "optimal_relay_location": "geometry", "rate_curve": "model",
+    "cp_bounds_low_tern": "bounds", "evaluate_network": "selection",
+    "feasibility_bound": "energy", "feasible": "energy", "gains_from_placement": "geometry",
+    "grid_values": "geometry", "high_tern_gain_limit": "bounds",
+    "low_tern_gain_limit": "bounds", "max_geometric_gain": "geometry", "min_tern": "energy",
+    "ncp_allocate": "allocation", "ncp_bounds_high_tern": "bounds",
+    "ncp_bounds_low_tern": "bounds", "optimal_relay_location": "geometry",
     "rate_energy_score": "selection", "resource_usage": "energy",
     "select_relay_rate": "selection", "select_relay_resource": "selection",
     "small_k_gain_slope": "bounds", "solve_monotone": "rootfind", "sweep": "geometry",

@@ -46,7 +46,7 @@ def _allocate(protocol: Protocol, h_first: float, h23: float, op: OperatingPoint
         return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
 
     bracket = Bracket.scan(residual, _BETA_LO, _BETA_HI)
-    beta = solve_monotone(residual, bracket, abs_tol=math.ulp(0.0), max_iter=_MAX_EVALS)
+    beta = solve_monotone(residual, bracket, max_iter=_MAX_EVALS)
     base_rate = beta * math.log1p(chord1 / beta)
     rate2 = k * base_rate
     return Allocation(protocol, beta, base_rate, rate2, base_rate + rate2)

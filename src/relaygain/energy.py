@@ -89,26 +89,45 @@ class EnergySolution:
     beta: float
 
 
+def _first(protocol: Protocol, gains: LinkGains) -> float:
+    return gains.h13 if protocol is Protocol.NCP else gains.h12
+
+
 def _links(protocol: Protocol, gains: LinkGains) -> tuple[float, float]:
+    gains.require_alive("h13" if protocol is Protocol.NCP else "h12", "h23")
+    return _first(protocol, gains), gains.h23
+
+
+def _bound(protocol: Protocol, h_first: float, h23: float, k: float) -> float:
+    """feasibility_bound on raw floats, with h_first = h13 for NCP and h12 for CP."""
     if protocol is Protocol.NCP:
-        gains.require_alive("h13", "h23")
-        return gains.h13, gains.h23
-    gains.require_alive("h12", "h23")
-    return gains.h12, gains.h23
+        return min(h_first, h23)
+    return min(h_first, h23 * k / (k + 1.0))
+
+
+def _servable(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
+              rate: float) -> bool:
+    """Whether both slots of (rate, k*rate) exist, on raw floats.
+
+    The rate must lie below eps times the feasibility bound, which also
+    keeps user 1's target below its chord, and the partner's target below
+    its chord compared in the floats _solve_slot compares. The bound is
+    tested first, so a rate above it fails here even where k*eps overflows.
+    """
+    kappa = k if protocol is Protocol.NCP else k + 1.0
+    return rate < eps * _bound(protocol, h_first, h23, k) and kappa * rate < h23 * (k * eps)
 
 
 def feasibility_bound(protocol: Protocol, gains: LinkGains, k: float) -> float:
     """Gain factor m with servable rates characterized by rate < eps * m."""
-    k = _check_positive("k", k)
-    if protocol is Protocol.NCP:
-        return min(gains.h13, gains.h23)
-    return min(gains.h12, gains.h23 * k / (k + 1.0))
+    return _bound(protocol, _first(protocol, gains), gains.h23, _check_positive("k", k))
 
 
 def feasible(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rate: float) -> bool:
-    """Whether the demanded base rate is strictly below the chord bound."""
+    """Whether resource_usage can serve the demanded base rate: it is below the
+    chord bound, and so is the partner's rate in the floats its slot solve uses."""
     rate = _check_positive("rate", rate)
-    return rate < op.epsilon * feasibility_bound(protocol, gains, op.k)
+    return _servable(protocol, _first(protocol, gains), gains.h23, op.epsilon, op.k, rate)
 
 
 def _log_expm1(x: float) -> float:
@@ -153,21 +172,13 @@ def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> Ene
         return offset + _log_expm1_ratio(rate / b) - _log_expm1_ratio(partner_rate / (1.0 - b))
 
     bracket = Bracket.scan(gap, 0.0, 1.0)
-    beta = solve_monotone(gap, bracket, abs_tol=math.ulp(0.0), max_iter=3 * _SHARE_HALVINGS)
+    beta = solve_monotone(gap, bracket, max_iter=3 * _SHARE_HALVINGS)
     log_eps = math.log(beta) + _log_expm1(rate / beta) - math.log(h_first)
     if not _LOG_FLOAT_MIN <= log_eps <= _LOG_FLOAT_MAX:
         raise ValidationError(
             f"{protocol.value}: the minimal TERN for rate {rate!r} is e^{log_eps:.6g}, "
             "outside the float range")
     return EnergySolution(protocol, math.exp(log_eps), beta)
-
-
-def energy_gain(gains: LinkGains, k: float, rate: float) -> float:
-    """TERN collaboration gain eps_NCP / eps_CP at a common demanded base rate."""
-    gains.require_alive("h12", "h13", "h23")
-    eps_ncp = min_tern(Protocol.NCP, gains, k, rate).epsilon_min
-    eps_cp = min_tern(Protocol.CP, gains, k, rate).epsilon_min
-    return eps_ncp / eps_cp
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -260,10 +271,9 @@ def _solve_slot(h: float, eps_user: float, target: float) -> float:
     return beta
 
 
-def _pair_slots(protocol: Protocol, h_first: float, h23: float, op: OperatingPoint,
+def _pair_slots(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
                 rate: float) -> tuple[float, float]:
-    """Both users' slots for (rate, k*rate), with the inputs already checked."""
-    k, eps = op.k, op.epsilon
+    """Both users' slots for (rate, k*rate), for a pair that _servable accepts."""
     # under CP the partner's slot also carries the re-encoded source message
     kappa = k if protocol is Protocol.NCP else k + 1.0
     return _solve_slot(h_first, eps, rate), _solve_slot(h23, k * eps, kappa * rate)
@@ -273,8 +283,8 @@ def resource_usage(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rat
     """Resource slots required by both users to serve (rate, k*rate)."""
     rate = _check_positive("rate", rate)
     h_first, h23 = _links(protocol, gains)
-    bound = op.epsilon * feasibility_bound(protocol, gains, op.k)
-    if not rate < bound:
-        raise InfeasibleRateError(protocol.value, rate, bound)
-    beta1, beta2 = _pair_slots(protocol, h_first, h23, op, rate)
+    eps, k = op.epsilon, op.k
+    if not _servable(protocol, h_first, h23, eps, k, rate):
+        raise InfeasibleRateError(protocol.value, rate, eps * _bound(protocol, h_first, h23, k))
+    beta1, beta2 = _pair_slots(protocol, h_first, h23, eps, k, rate)
     return ResourceUsage(protocol, beta1, beta2, beta1 + beta2)

@@ -153,21 +153,3 @@ class GainReport:
     ncp: Allocation
     cp: Allocation
     collaborate: bool
-
-
-def rate_curve(h: float, eps: float, beta: float) -> float:
-    """Achievable rate beta * ln(1 + h*eps/beta) over a resource share beta.
-
-    Returns 0 for a dead link (h == 0). Strictly increasing in each of
-    h, eps and beta, and bounded above by the chord h*eps.
-    """
-    h = _check_finite("h", h)
-    if h < 0.0:
-        raise ValidationError(f"h must be >= 0, got {h!r}")
-    eps = _check_positive("eps", eps)
-    beta = _check_finite("beta", beta)
-    if not 0.0 < beta <= 1.0:
-        raise ValidationError(f"beta must lie in (0, 1], got {beta!r}")
-    if h == 0.0:
-        return 0.0
-    return beta * math.log1p(h * eps / beta)

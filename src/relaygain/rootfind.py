@@ -8,8 +8,7 @@ one double inside it instead, which ends the solve at once when the root
 lies in that last gap; infinite end values give the midpoint. A bisection
 safeguard bounds the worst case: every third step bisects unless the two
 steps before it halved the bracket. The solve is bitwise deterministic,
-and it stops on adjacent doubles, on a caller's width, or on an exact
-zero of f.
+and it stops on adjacent doubles or on an exact zero of f.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import IterationLimitError, NaNResidualError, NoSignChangeError, ValidationError
-
-DEFAULT_ABS_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
 
 
 def _sign(value: float) -> int:
@@ -60,29 +56,21 @@ class Bracket:
         return cls(lo, hi, f_lo, f_hi)
 
 
-def solve_monotone(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def solve_monotone(f: Callable[[float], float], bracket: Bracket, max_iter: int) -> float:
     """Root of f inside `bracket` by safeguarded Illinois steps.
 
-    Stops once the bracket width is at most abs_tol or its ends are
-    adjacent doubles, and returns its midpoint; stops at once on an exact
-    zero of f. The steps come in windows of three: the third step of a
-    window bisects unless the first two have halved the width the bracket
-    had when the window began. So after n evaluations of f (beyond those
-    of the bracket) the width is at most W * 2**-floor(n/3), W the initial
-    width, and a bracket that bisection would reach adjacent doubles of in
-    m halvings needs at most 3*m evaluations. A NaN value of f raises
-    NaNResidualError; running out of max_iter evaluations raises
-    IterationLimitError with the last bracket. The result always lies
-    inside the initial bracket and is bitwise identical across calls with
-    identical inputs.
+    Stops once the bracket's ends are adjacent doubles, and returns its
+    midpoint; stops at once on an exact zero of f. The steps come in
+    windows of three: the third step of a window bisects unless the first
+    two have halved the width the bracket had when the window began. So
+    after n evaluations of f (beyond those of the bracket) the width is at
+    most W * 2**-floor(n/3), W the initial width, and a bracket that
+    bisection would reach adjacent doubles of in m halvings needs at most
+    3*m evaluations. A NaN value of f raises NaNResidualError; running out
+    of max_iter evaluations raises IterationLimitError with the last
+    bracket. The result always lies inside the initial bracket and is
+    bitwise identical across calls with identical inputs.
     """
-    if abs_tol <= 0.0:
-        raise ValidationError(f"abs_tol must be > 0, got {abs_tol!r}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
@@ -96,7 +84,7 @@ def solve_monotone(
     width = hi - lo  # width at the start of the current window of three steps
     for n in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= abs_tol or mid <= lo or mid >= hi:
+        if mid <= lo or mid >= hi:
             return mid
         x = mid
         if n % 3 or hi - lo <= 0.5 * width:
@@ -129,6 +117,6 @@ def solve_monotone(
         if n % 3 == 0:
             width = hi - lo
     mid = 0.5 * (lo + hi)
-    if hi - lo <= abs_tol or mid <= lo or mid >= hi:
+    if mid <= lo or mid >= hi:
         return mid
     raise IterationLimitError(lo, hi, max_iter)

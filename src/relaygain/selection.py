@@ -2,17 +2,22 @@
 
 Rate mode ranks candidates by the low-TERN score
 
-    min{h_sr, h_rd * k/(k+1)} / h_sd
+    min{h_sr, h_rd * k/(k+1)} / h_sd,
 
-(the limit the collaboration gain approaches as eps -> 0), confirms the
-top candidate with the exact solvers at the actual operating point, and
-falls back to direct transmission unless the confirmed gain exceeds one.
+the CP chord bound over the direct gain. It equals the limit the
+collaboration gain approaches as eps -> 0 (bounds.low_tern_gain_limit)
+only where h_rd >= h_sd, since that limit divides by min{h_sd, h_rd}: at
+h_sd = 1, h_sr = 4, h_rd = 0.5, k = 1 the score is 0.25 and the limit 0.5.
+The top-scored candidate is confirmed with the exact solvers at the actual
+operating point, and selection falls back to direct transmission unless
+the confirmed gain exceeds one.
 
-Resource mode screens every (candidate, protocol) option against the
-chord feasibility bounds and picks the feasible option with the least
-total resource usage. Both users of a pair are billed: the partner's
-own-traffic slot depends on its downlink, so direct-transmission options
-are costed per candidate pair.
+Resource mode screens every (candidate, protocol) option for servability:
+the rate must lie below the chord feasibility bound and both users' slots
+must exist. It picks the servable option with the least total resource
+usage. Both users of a pair are billed: the partner's own-traffic slot
+depends on its downlink, so direct-transmission options are costed per
+candidate pair.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocation import collaboration_gain
-from .energy import _pair_slots, _solve_slot, feasibility_bound
+from .energy import _bound, _pair_slots, _servable, _solve_slot
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
@@ -55,7 +60,8 @@ class FlowResult:
 
 
 def rate_energy_score(h_sd: float, cand: RelayCandidate, k: float) -> float:
-    """Low-TERN gain score of a candidate; invariant under common gain scaling."""
+    """Low-TERN score of a candidate, the CP chord bound over h_sd; invariant under
+    common gain scaling."""
     h_sd = _check_positive("h_sd", h_sd)
     k = _check_positive("k", k)
     return min(cand.h_sr, cand.h_rd * k / (k + 1.0)) / h_sd
@@ -110,17 +116,6 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
                              exact_gain=gain, high_tern_advisory=advisory)
 
 
-def _pair_usage(protocol: Protocol, h_sd: float, pair: LinkGains | None,
-                op: OperatingPoint, rate: float) -> float:
-    """Total resource used by the pair (source slot + partner slot), for a rate
-    that `select_relay_resource` has checked against the pair's bound."""
-    if pair is None:
-        return _solve_slot(h_sd, op.epsilon, rate)
-    h_first = pair.h13 if protocol is Protocol.NCP else pair.h12
-    beta1, beta2 = _pair_slots(protocol, h_first, pair.h23, op, rate)
-    return beta1 + beta2
-
-
 def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[RelayCandidate, ...],
                           op: OperatingPoint, rate: float) -> SelectionDecision:
     """Pick the feasible (candidate, protocol) option with least total usage."""
@@ -128,33 +123,29 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
     rate = _check_positive("rate", rate)
     eps, k = op.epsilon, op.k
 
-    options: list[tuple[float, int, str, Protocol, str | None, RelayCandidate | None]] = []
-    violations: list[str] = []
-
-    def consider(protocol: Protocol, cand: RelayCandidate | None, pair: LinkGains | None,
-                 label: str):
-        bound = eps * (h_sd if pair is None else feasibility_bound(protocol, pair, k))
-        if rate < bound:
-            total = _pair_usage(protocol, h_sd, pair, op, rate)
-            rank = 0 if protocol is Protocol.NCP else 1
-            options.append((total, rank, cand.id if cand else "", protocol,
-                            cand.id if protocol is Protocol.CP else None, cand))
-        else:
-            violations.append(f"{label}: rate {rate!r} >= bound {bound!r}")
-
     if not candidates:
-        consider(Protocol.NCP, None, None, "NCP(direct)")
-    for cand in sorted(candidates, key=lambda c: c.id):
-        pair = _pair_gains(h_sd, cand)
-        consider(Protocol.NCP, cand, pair, f"NCP(pair {cand.id})")
-        consider(Protocol.CP, cand, pair, f"CP({cand.id})")
+        # direct transmission: the slot's own guard is the bound
+        if not rate < eps * h_sd:
+            raise NoFeasibleOptionError([f"NCP(direct): rate {rate!r} >= bound {eps * h_sd!r}"])
+        return SelectionDecision(Protocol.NCP, None, _solve_slot(h_sd, eps, rate),
+                                 high_tern_advisory=_advisory(op, h_sd))
 
+    options: list[tuple[float, int, str, Protocol, RelayCandidate]] = []
+    violations: list[str] = []
+    for cand in sorted(candidates, key=lambda c: c.id):
+        for rank, protocol, h_first, label in ((0, Protocol.NCP, h_sd, f"NCP(pair {cand.id})"),
+                                               (1, Protocol.CP, cand.h_sr, f"CP({cand.id})")):
+            if _servable(protocol, h_first, cand.h_rd, eps, k, rate):
+                beta1, beta2 = _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
+                options.append((beta1 + beta2, rank, cand.id, protocol, cand))
+            else:
+                bound = eps * _bound(protocol, h_first, cand.h_rd, k)
+                violations.append(f"{label}: rate {rate!r} >= bound {bound!r}")
     if not options:
         raise NoFeasibleOptionError(violations)
-    total, _, _, protocol, relay_id, cand = min(options)
-    involved = (h_sd,) if cand is None else (h_sd, cand.h_sr, cand.h_rd)
-    return SelectionDecision(protocol, relay_id, total,
-                             high_tern_advisory=_advisory(op, *involved))
+    total, _, _, protocol, cand = min(options)
+    return SelectionDecision(protocol, cand.id if protocol is Protocol.CP else None, total,
+                             high_tern_advisory=_advisory(op, h_sd, cand.h_sr, cand.h_rd))
 
 
 def evaluate_network(flows: list[Flow] | tuple[Flow, ...], mode: str) -> list[FlowResult]:

@@ -50,6 +50,12 @@ GOLDEN_SCENARIOS = {
     "peak_underflow": {"gains": {"h12": 1e-300, "h13": 1e-300, "h23": 1e-300},
                        "operating": {"epsilon": 1e12, "k": 1e300}},
     "infeasible": {**PAIR_SCENARIO, "rate": 5.0},
+    # pair a passes its bound, 2.5*1.2 = 3.0, but its partner's target 0.2*rate rounds
+    # onto the chord 1.2*(0.2*2.5): it is not servable, and pair b is
+    "slot_rounding": {"gains": {"h12": 1.0, "h13": 2.0, "h23": 1.2},
+                      "operating": {"epsilon": 2.5, "k": 0.2}, "rate": 2.9999999999999996,
+                      "candidates": [{"id": "a", "h_sr": 1.0, "h_rd": 1.2},
+                                     {"id": "b", "h_sr": 10.0, "h_rd": 10.0}]},
 }
 
 # case: (argv, scenario, exit code, text stdout, sha256 of json stdout, stderr)
@@ -92,6 +98,10 @@ GOLDEN = {
     "select_resource": (["select", "--mode", "resource"], "pair", 0,
         "protocol=NCP relay=- criterion=0.141668928598 exact_gain= advisory=false\n",
         "0a2a117f3401334ea56ec2341e87708d0fbe1d0b01bcc1f577a023809b6c8f9f",
+        ""),
+    "select_resource_slot_rounding": (["select", "--mode", "resource"], "slot_rounding", 0,
+        "protocol=NCP relay=- criterion=3.34457410437 exact_gain= advisory=false\n",
+        "bc94668141193f480faf72b0e21c18aa73b1c13f87d9fd28d65bbc0ae614b28a",
         ""),
     "placement": (["placement"], "placement", 0,
         "h12=3.95284707521 h13=1 h23=11.1803398875\n"

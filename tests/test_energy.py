@@ -8,10 +8,11 @@ import pytest
 
 import relaygain.energy as energy
 from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_allocate,
-                       energy_gain, feasibility_bound, feasible, grid_values, min_tern,
-                       ncp_allocate, resource_usage, sweep)
+                       feasibility_bound, feasible, grid_values, min_tern, ncp_allocate,
+                       resource_usage, sweep)
 from relaygain.cli import main
-from relaygain.errors import DeadLinkError, InfeasibleRateError, ValidationError
+from relaygain.errors import (DeadLinkError, InfeasibleRateError, RelayGainError,
+                              ValidationError)
 
 ONES = LinkGains(1, 1, 1)
 
@@ -53,6 +54,12 @@ class TestMinTern:
             min_tern(Protocol.CP, LinkGains(0.0, 1.0, 1.0), 1.0, 0.1)
 
 
+def energy_gain(gains, k, rate):
+    """TERN collaboration gain eps_NCP / eps_CP, as the energy report and sweep compute it."""
+    return (min_tern(Protocol.NCP, gains, k, rate).epsilon_min
+            / min_tern(Protocol.CP, gains, k, rate).epsilon_min)
+
+
 class TestEnergyGain:
     def test_low_rate_limit_all_ones(self):
         assert energy_gain(ONES, 1.0, 1e-6) == pytest.approx(0.5, rel=1e-3)
@@ -87,6 +94,40 @@ class TestFeasible:
         assert feasibility_bound(Protocol.NCP, gains, 1.0) == 1.5
         assert feasibility_bound(Protocol.CP, gains, 1.0) == 0.75
         assert feasibility_bound(Protocol.CP, gains, 3.0) == pytest.approx(1.125)
+
+
+class TestServability:
+    """feasible() and resource_usage decide servability by one predicate."""
+
+    def test_feasible_exactly_when_usage_serves_just_below_the_bound(self):
+        # at the last two doubles below eps*bound the partner's target kappa*rate and its
+        # chord h23*(k*eps) round otherwise than the bound does
+        rng = random.Random(13)
+        mismatches = []
+        for _ in range(4000):
+            gains = LinkGains(*(math.exp(rng.uniform(-5.0, 5.0)) for _ in range(3)))
+            op = OperatingPoint(math.exp(rng.uniform(-5.0, 5.0)), math.exp(rng.uniform(-3.0, 3.0)))
+            for protocol in Protocol:
+                rate = op.epsilon * feasibility_bound(protocol, gains, op.k)
+                for _ in range(2):
+                    rate = math.nextafter(rate, 0.0)
+                    try:
+                        resource_usage(protocol, gains, op, rate)
+                        served = True
+                    except RelayGainError:
+                        served = False
+                    if feasible(protocol, gains, op, rate) is not served:
+                        mismatches.append((gains, op, protocol, rate, served))
+        assert not mismatches, mismatches[:3]
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_overflowing_partner_tern_is_an_infeasible_rate(self, protocol):
+        # k*eps overflows to inf, so only the bound eps*1e-5 = 1e5 tells this rate apart
+        gains, op = LinkGains(1.0, 1.0, 1e-5), OperatingPoint(1e10, 1e299)
+        assert not feasible(protocol, gains, op, 1e6)
+        with pytest.raises(InfeasibleRateError) as err:
+            resource_usage(protocol, gains, op, 1e6)
+        assert err.value.protocol == protocol.value
 
 
 class TestResourceUsage:

@@ -1,9 +1,11 @@
 """Cold start and the lazy package: what each import loads, and what it exposes."""
 
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ import relaygain.geometry as geometry
 import relaygain.model as model
 import relaygain.selection as selection
 import relaygain.verify as verify
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # the modules only some subcommands run
 ON_DEMAND = {"relaygain.bounds", "relaygain.geometry", "relaygain.selection", "relaygain.verify"}
@@ -25,13 +29,13 @@ PUBLIC_NAMES = [
     "Protocol", "RelayCandidate", "RelayGainError", "ResourceUsage",
     "SelectionDecision", "SweepRecord", "SWEEP_KINDS", "ValidationError",
     "collaboration_gain", "collinear_gains", "cp_allocate",
-    "cp_bounds_high_tern", "cp_bounds_low_tern", "energy_gain",
-    "evaluate_network", "feasibility_bound", "feasible", "gains_from_placement",
-    "grid_values", "high_tern_gain_limit", "low_tern_gain_limit",
-    "max_geometric_gain", "min_tern", "ncp_allocate", "ncp_bounds_high_tern",
-    "ncp_bounds_low_tern", "optimal_relay_location", "rate_curve",
-    "rate_energy_score", "resource_usage", "select_relay_rate",
-    "select_relay_resource", "small_k_gain_slope", "solve_monotone", "sweep",
+    "cp_bounds_high_tern", "cp_bounds_low_tern", "evaluate_network",
+    "feasibility_bound", "feasible", "gains_from_placement", "grid_values",
+    "high_tern_gain_limit", "low_tern_gain_limit", "max_geometric_gain",
+    "min_tern", "ncp_allocate", "ncp_bounds_high_tern", "ncp_bounds_low_tern",
+    "optimal_relay_location", "rate_energy_score", "resource_usage",
+    "select_relay_rate", "select_relay_resource", "small_k_gain_slope",
+    "solve_monotone", "sweep",
     "sweep_columns",
 ]
 
@@ -150,3 +154,19 @@ class TestCliBindings:
                        "--out", str(tmp_path / "sweep.csv")])
         assert rc == 0
         assert calls == ["collinear_gain"]
+
+
+class TestBenchHooks:
+    def test_every_span_target_resolves(self):
+        """The benchmark's tracer hooks each name where a module binds it; every one
+        must still be there, or the traced run reports its layer metrics absent."""
+        spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = []
+        for _, module, path, _ in spans._targets():
+            try:
+                spans._Slot(module, path)
+            except (AttributeError, KeyError, ImportError) as exc:
+                missing.append(f"{module} {path}: {exc!r}")
+        assert not missing

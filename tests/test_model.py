@@ -1,55 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from relaygain import LinkGains, OperatingPoint, Protocol, ValidationError, rate_curve
+from relaygain import LinkGains, OperatingPoint, Protocol, ValidationError
 from relaygain.errors import DeadLinkError
-
-
-class TestRateCurve:
-    def test_single_slot_shannon_form(self):
-        assert rate_curve(1.0, 1.0, 1.0) == pytest.approx(math.log(2), abs=1e-15)
-
-    def test_dead_link_gives_zero(self):
-        assert rate_curve(0.0, 5.0, 0.3) == 0.0
-
-    def test_direct_substitution(self):
-        assert rate_curve(1.0, 1.0, 0.5) == pytest.approx(0.5 * math.log(3), abs=1e-15)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan, math.inf])
-    def test_rejects_bad_beta(self, bad):
-        with pytest.raises(ValidationError):
-            rate_curve(1.0, 1.0, bad)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"h": -1.0, "eps": 1.0, "beta": 0.5},
-        {"h": math.inf, "eps": 1.0, "beta": 0.5},
-        {"h": 1.0, "eps": 0.0, "beta": 0.5},
-        {"h": 1.0, "eps": math.nan, "beta": 0.5},
-    ])
-    def test_rejects_bad_gain_or_tern(self, kwargs):
-        with pytest.raises(ValidationError):
-            rate_curve(**kwargs)
-
-    def test_increasing_in_beta(self):
-        betas = [0.05 * i for i in range(1, 21)]
-        for h, eps in [(1.0, 1.0), (0.3, 7.0), (4.0, 0.2)]:
-            values = [rate_curve(h, eps, b) for b in betas]
-            assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_increasing_in_eps_and_h(self):
-        eps_values = [rate_curve(1.0, e, 0.4) for e in (0.1, 0.5, 1.0, 5.0, 50.0)]
-        assert all(a < b for a, b in zip(eps_values, eps_values[1:]))
-        h_values = [rate_curve(h, 1.0, 0.4) for h in (0.1, 0.5, 1.0, 5.0, 50.0)]
-        assert all(a < b for a, b in zip(h_values, h_values[1:]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(h=st.floats(1e-3, 1e3), eps=st.floats(1e-3, 1e3),
-           beta=st.floats(1e-6, 1.0, exclude_min=False))
-    def test_chord_bound(self, h, eps, beta):
-        # beta*ln(1 + h*eps/beta) < h*eps for any positive arguments
-        assert rate_curve(h, eps, beta) < h * eps
 
 
 class TestLinkGains:

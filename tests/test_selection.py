@@ -116,6 +116,19 @@ class TestSelectRelayResource:
                                   OperatingPoint(1.0, 1.0), rate=0.5)
         assert len(err.value.violations) == 2
 
+    def test_partner_target_on_its_chord_is_a_violation(self):
+        # rate < 2.5*1.2 holds, but 0.2*rate rounds onto the partner's chord 1.2*(0.2*2.5)
+        op, rate = OperatingPoint(2.5, 0.2), 2.9999999999999996
+        pair_a, pair_b = RelayCandidate("a", 1.0, 1.2), RelayCandidate("b", 10.0, 10.0)
+        with pytest.raises(NoFeasibleOptionError) as err:
+            select_relay_resource(2.0, [pair_a], op, rate)
+        assert err.value.violations == [
+            "NCP(pair a): rate 2.9999999999999996 >= bound 3.0",
+            "CP(a): rate 2.9999999999999996 >= bound 0.5"]
+        decision = select_relay_resource(2.0, [pair_a, pair_b], op, rate)
+        assert (decision.protocol, decision.relay_id) == (Protocol.NCP, None)
+        assert decision.criterion_value == pytest.approx(3.34457410437, rel=1e-11)
+
     def test_winner_minimal_among_feasible_options(self):
         from relaygain.energy import _solve_slot
         rng = random.Random(13)
