@@ -18,7 +18,7 @@ Negative parabola values are clamped at zero (rates are nonnegative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .model import LinkGains, OperatingPoint, _check_positive
@@ -30,8 +30,7 @@ _SERIES_CUTOFF = 1e-4
 _DEGENERATE_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(NamedTuple):
     """A (lower, upper) bracket on the base rate, in nats.
 
     ``beta_at_bound`` is the resource share realizing the bound

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from importlib import import_module
 
 from .allocation import collaboration_gain, cp_allocate, ncp_allocate
@@ -100,7 +99,7 @@ def _verdict(report) -> dict:
 
 def report_gain(sc, args):
     report = collaboration_gain(sc.gains, sc.operating)
-    payload = {"ncp": asdict(report.ncp), "cp": asdict(report.cp), **_verdict(report)}
+    payload = {"ncp": report.ncp._asdict(), "cp": report.cp._asdict(), **_verdict(report)}
     lines = [_row({key: value for key, value in payload[name].items() if key != "protocol"},
                   name.upper())
              for name in ("ncp", "cp")]
@@ -112,7 +111,7 @@ def _per_protocol(sc, solve, operating, measure: str, ratio: str):
     rate = _require_rate(sc)
     payload, lines = {"rate": rate}, []
     for protocol in Protocol:
-        fields = asdict(solve(protocol, sc.gains, operating, rate))
+        fields = solve(protocol, sc.gains, operating, rate)._asdict()
         del fields["protocol"]
         payload[protocol.value.lower()] = fields
         lines.append(_row(fields, protocol.value))
@@ -136,7 +135,7 @@ def report_bounds(sc, args):
         "cp_high_tern": cp_bounds_high_tern(gains, op),
         "cp_low_tern": cp_bounds_low_tern(gains, op),
     }
-    payload = {name: asdict(pair) for name, pair in pairs.items()}
+    payload = {name: pair._asdict() for name, pair in pairs.items()}
     payload["exact"] = {"ncp": ncp_allocate(gains, op).base_rate,
                         "cp": cp_allocate(gains, op).base_rate}
     limits = {"low_tern_gain_limit": low_tern_gain_limit(gains, op.k),
@@ -160,13 +159,16 @@ def report_select(sc, args):
         lines = [f"{r.source}->{r.destination}: "
                  + (_decision_text(r.decision) if r.decision else f"error: {r.error}")
                  for r in results]
-        return {"flows": [asdict(r) for r in results]}, lines
+        # a decision is a named tuple too: as a dict, not a JSON array
+        return {"flows": [{**r._asdict(),
+                           "decision": None if r.decision is None else r.decision._asdict()}
+                          for r in results]}, lines
     if args.mode == "resource":
         decision = select_relay_resource(sc.gains.h13, list(sc.candidates),
                                          sc.operating, _require_rate(sc))
     else:
         decision = select_relay_rate(sc.gains.h13, list(sc.candidates), sc.operating)
-    return asdict(decision), [f"protocol={_decision_text(decision)}"]
+    return decision._asdict(), [f"protocol={_decision_text(decision)}"]
 
 
 def report_placement(sc, args):
@@ -175,7 +177,7 @@ def report_placement(sc, args):
     report = collaboration_gain(sc.gains, sc.operating)
     peak = {"optimal_relay_location": optimal_relay_location(sc.operating.k, sc.placement.eta),
             "max_geometric_gain": max_geometric_gain(sc.operating.k, sc.placement.eta)}
-    gains = asdict(sc.gains)
+    gains = sc.gains._asdict()
     payload = {"gains": gains, **_verdict(report), **peak}
     return payload, [_row(gains), _row(_verdict(report)), _row(peak)]
 

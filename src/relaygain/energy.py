@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # unused here; bench/spans.py hooks the allocators where this module binds them
 from .allocation import cp_allocate, ncp_allocate  # noqa: F401
@@ -70,8 +70,7 @@ _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ResourceUsage:
+class ResourceUsage(NamedTuple):
     """Per-user resource slots for a fixed (rate, TERN) demand; total may exceed 1."""
 
     protocol: Protocol
@@ -80,8 +79,7 @@ class ResourceUsage:
     total: float
 
 
-@dataclass(frozen=True)
-class EnergySolution:
+class EnergySolution(NamedTuple):
     """Minimal TERN of user 1 achieving a demanded base rate, and user 1's share there."""
 
     protocol: Protocol
@@ -116,6 +114,21 @@ def _servable(protocol: Protocol, h_first: float, h23: float, eps: float, k: flo
     """
     kappa = k if protocol is Protocol.NCP else k + 1.0
     return rate < eps * _bound(protocol, h_first, h23, k) and kappa * rate < h23 * (k * eps)
+
+
+def _shortfall(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
+               rate: float) -> tuple[str, float, str, float]:
+    """What fails in a pair that _servable rejects: (quantity, value, limit, value).
+
+    Either the rate is not below its bound eps*m, or only the partner's
+    target kappa*rate is not below its chord h23*(k*eps) in the floats
+    _solve_slot compares.
+    """
+    bound = eps * _bound(protocol, h_first, h23, k)
+    if not rate < bound:
+        return "rate", rate, "bound", bound
+    kappa = k if protocol is Protocol.NCP else k + 1.0
+    return "partner target", kappa * rate, "chord", h23 * (k * eps)
 
 
 def feasibility_bound(protocol: Protocol, gains: LinkGains, k: float) -> float:
@@ -241,7 +254,7 @@ def _solve_slot(h: float, eps_user: float, target: float) -> float:
     """
     chord = h * eps_user
     if not target < chord:
-        raise InfeasibleRateError("slot", target, chord)
+        raise InfeasibleRateError("slot", target, chord, "target", "chord")
     # chord = (c + c_lo) * 2**e exactly, with c in [1/4, 1): the scaled two-product
     # neither under- nor overflows, and target scaled alike stays below 1
     m_h, e_h = math.frexp(h)
@@ -285,6 +298,7 @@ def resource_usage(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rat
     h_first, h23 = _links(protocol, gains)
     eps, k = op.epsilon, op.k
     if not _servable(protocol, h_first, h23, eps, k, rate):
-        raise InfeasibleRateError(protocol.value, rate, eps * _bound(protocol, h_first, h23, k))
+        quantity, value, limit, limit_value = _shortfall(protocol, h_first, h23, eps, k, rate)
+        raise InfeasibleRateError(protocol.value, value, limit_value, quantity, limit)
     beta1, beta2 = _pair_slots(protocol, h_first, h23, eps, k, rate)
     return ResourceUsage(protocol, beta1, beta2, beta1 + beta2)

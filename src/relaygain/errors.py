@@ -53,12 +53,16 @@ class IterationLimitError(RelayGainError):
 
 
 class InfeasibleRateError(RelayGainError):
-    """A rate demand is at or above the chord bound of the achievable rate."""
+    """A demand at or above what it must stay below: by default the rate at the
+    chord bound of the achievable rate; `quantity` and `limit` name another
+    pair, such as a slot's target and its chord."""
 
-    def __init__(self, protocol: str, rate: float, bound: float):
+    def __init__(self, protocol: str, rate: float, bound: float, quantity: str = "rate",
+                 limit: str = "bound"):
         self.protocol, self.rate, self.bound = protocol, rate, bound
         super().__init__(
-            f"{protocol}: rate {rate!r} is not servable (requires rate < {bound!r})"
+            f"{protocol}: {quantity} {rate!r} is not servable "
+            f"(requires {quantity} < {limit} {bound!r})"
         )
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .allocation import cp_allocate, ncp_allocate
 from .energy import feasible, min_tern, resource_usage
@@ -37,29 +36,35 @@ OVERFLOW_GAIN = 1e12
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Node positions on the plane plus the path-loss exponent."""
+def _check_point(name: str, p: Point) -> Point:
+    if not (isinstance(p, tuple) and len(p) == 2):
+        raise ValidationError(f"{name} must be an (x, y) tuple, got {p!r}")
+    return _check_finite(f"{name}.x", p[0]), _check_finite(f"{name}.y", p[1])
 
+
+class _Placement(NamedTuple):
     source: Point
     destination: Point
     relay: Point
     eta: float
 
-    def __post_init__(self):
-        for name in ("source", "destination", "relay"):
-            p = getattr(self, name)
-            if not (isinstance(p, tuple) and len(p) == 2):
-                raise ValidationError(f"{name} must be an (x, y) tuple, got {p!r}")
-            object.__setattr__(self, name, (_check_finite(f"{name}.x", p[0]),
-                                            _check_finite(f"{name}.y", p[1])))
-        object.__setattr__(self, "eta", _check_positive("eta", self.eta))
-        if self.source == self.destination:
+
+class Placement(_Placement):
+    """Node positions on the plane plus the path-loss exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: Point, destination: Point, relay: Point, eta: float):
+        source = _check_point("source", source)
+        destination = _check_point("destination", destination)
+        relay = _check_point("relay", relay)
+        eta = _check_positive("eta", eta)
+        if source == destination:
             raise GeometryError("source and destination coincide")
+        return tuple.__new__(cls, (source, destination, relay, eta))
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One grid point of a sweep: coordinates, headline value, extras."""
 
     coords: tuple[float, ...]
@@ -186,8 +191,7 @@ def _energy_point(gains: LinkGains, op: None, p: Mapping[str, float], ncp_table:
     return eps_ncp / eps_cp, {"eps_ncp": eps_ncp, "eps_cp": eps_cp}
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """Grid axes (axis a reads a_min/a_max/a_step), fixed parameters,
     point evaluator, value column and extra columns of one sweep kind."""
 

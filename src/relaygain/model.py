@@ -8,14 +8,19 @@ of which a transmitter holding share ``beta`` achieves
     R = beta * ln(1 + h * eps / beta)
 
 for channel energy gain ``h`` and transmit-energy-to-received-noise
-ratio (TERN) ``eps``. All types are immutable and all operations pure.
+ratio (TERN) ``eps``. All operations are pure.
+
+Records are immutable named tuples: they unpack, index and compare equal
+to plain tuples of their fields. A record that validates its fields does
+so in ``__new__``, on a subclass of its named-tuple base (a NamedTuple
+body may not define ``__new__``); ``_replace`` and ``_make`` skip it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DeadLinkError, ValidationError
 
@@ -43,8 +48,20 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class LinkGains:
+def _check_gain(name: str, value: float) -> float:
+    value = _check_finite(name, value)
+    if value < 0.0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+class _LinkGains(NamedTuple):
+    h12: float
+    h13: float
+    h23: float
+
+
+class LinkGains(_LinkGains):
     """Channel energy gains of a source(1)/relay(2)/destination(3) triple.
 
     A gain of exactly zero marks a dead link; it is representable, but any
@@ -52,16 +69,11 @@ class LinkGains:
     of producing infinities.
     """
 
-    h12: float
-    h13: float
-    h23: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("h12", "h13", "h23"):
-            value = _check_finite(name, getattr(self, name))
-            if value < 0.0:
-                raise ValidationError(f"{name} must be >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+    def __new__(cls, h12: float, h13: float, h23: float):
+        return tuple.__new__(cls, (_check_gain("h12", h12), _check_gain("h13", h13),
+                                   _check_gain("h23", h23)))
 
     def require_alive(self, *links: str) -> None:
         for link in links:
@@ -69,44 +81,46 @@ class LinkGains:
                 raise DeadLinkError(link)
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class _OperatingPoint(NamedTuple):
+    epsilon: float
+    k: float
+
+
+class OperatingPoint(_OperatingPoint):
     """TERN of user 1 and the fairness rate ratio k = R2/R1 = eps2/eps1.
 
     User 2's TERN is always derived as ``k * epsilon`` and never stored.
     """
 
-    epsilon: float
-    k: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _check_positive("epsilon", self.epsilon))
-        object.__setattr__(self, "k", _check_positive("k", self.k))
+    def __new__(cls, epsilon: float, k: float):
+        return tuple.__new__(cls, (_check_positive("epsilon", epsilon), _check_positive("k", k)))
 
     @property
     def epsilon2(self) -> float:
         return self.k * self.epsilon
 
 
-@dataclass(frozen=True)
-class RelayCandidate:
-    """A potential partner with its source-side and destination-side gains."""
-
+class _RelayCandidate(NamedTuple):
     id: str
     h_sr: float
     h_rd: float
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"candidate id must be a non-empty string, got {self.id!r}")
-        object.__setattr__(self, "h_sr", _check_positive("h_sr", self.h_sr))
-        object.__setattr__(self, "h_rd", _check_positive("h_rd", self.h_rd))
+
+class RelayCandidate(_RelayCandidate):
+    """A potential partner with its source-side and destination-side gains."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, h_sr: float, h_rd: float):
+        if not isinstance(id, str) or not id:
+            raise ValidationError(f"candidate id must be a non-empty string, got {id!r}")
+        return tuple.__new__(cls, (id, _check_positive("h_sr", h_sr),
+                                   _check_positive("h_rd", h_rd)))
 
 
-@dataclass(frozen=True)
-class Flow:
-    """One source->destination demand with its own operating point and candidates."""
-
+class _Flow(NamedTuple):
     source: str
     destination: str
     h_sd: float
@@ -115,38 +129,47 @@ class Flow:
     rate: float | None = None
     candidates: tuple[RelayCandidate, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "h_sd", _check_positive("h_sd", self.h_sd))
-        object.__setattr__(self, "epsilon", _check_positive("epsilon", self.epsilon))
-        object.__setattr__(self, "k", _check_positive("k", self.k))
-        if self.rate is not None:
-            object.__setattr__(self, "rate", _check_positive("rate", self.rate))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+
+class Flow(_Flow):
+    """One source->destination demand with its own operating point and candidates."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, destination: str, h_sd: float, epsilon: float, k: float,
+                rate: float | None = None, candidates: tuple[RelayCandidate, ...] = ()):
+        return tuple.__new__(cls, (
+            source, destination, _check_positive("h_sd", h_sd),
+            _check_positive("epsilon", epsilon), _check_positive("k", k),
+            None if rate is None else _check_positive("rate", rate), tuple(candidates)))
 
 
-@dataclass(frozen=True)
-class Allocation:
-    """Optimal resource split for one protocol under the fairness constraint.
-
-    ``beta`` is user 1's share, ``base_rate`` user 1's rate R1;
-    rate2 = k*R1 and sum_rate = (k+1)*R1 are carried for convenience.
-    """
-
+class _Allocation(NamedTuple):
     protocol: Protocol
     beta: float
     base_rate: float
     rate2: float
     sum_rate: float
 
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValidationError(f"beta must lie in (0, 1), got {self.beta!r}")
-        if self.base_rate < 0.0:
-            raise ValidationError(f"base_rate must be >= 0, got {self.base_rate!r}")
+
+class Allocation(_Allocation):
+    """Optimal resource split for one protocol under the fairness constraint.
+
+    ``beta`` is user 1's share, ``base_rate`` user 1's rate R1;
+    rate2 = k*R1 and sum_rate = (k+1)*R1 are carried for convenience.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, protocol: Protocol, beta: float, base_rate: float, rate2: float,
+                sum_rate: float):
+        if not 0.0 < beta < 1.0:
+            raise ValidationError(f"beta must lie in (0, 1), got {beta!r}")
+        if base_rate < 0.0:
+            raise ValidationError(f"base_rate must be >= 0, got {base_rate!r}")
+        return tuple.__new__(cls, (protocol, beta, base_rate, rate2, sum_rate))
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(NamedTuple):
     """Ratio of CP to NCP base rate (equals the sum-rate ratio)."""
 
     gain: float

@@ -14,8 +14,7 @@ and it stops on adjacent doubles or on an exact zero of f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import IterationLimitError, NaNResidualError, NoSignChangeError, ValidationError
 
@@ -28,22 +27,26 @@ def _sign(value: float) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] and the values of f there, of opposite signs (or one zero)."""
-
+class _Bracket(NamedTuple):
     lo: float
     hi: float
     f_lo: float
     f_hi: float
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValidationError(f"bracket needs lo < hi, got [{self.lo!r}, {self.hi!r}]")
-        if math.isnan(self.f_lo) or math.isnan(self.f_hi):
+
+class Bracket(_Bracket):
+    """An interval [lo, hi] and the values of f there, of opposite signs (or one zero)."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float, f_lo: float, f_hi: float):
+        if not lo < hi:
+            raise ValidationError(f"bracket needs lo < hi, got [{lo!r}, {hi!r}]")
+        if math.isnan(f_lo) or math.isnan(f_hi):
             raise ValidationError("bracket values must not be NaN")
-        if _sign(self.f_lo) == _sign(self.f_hi):
+        if _sign(f_lo) == _sign(f_hi):
             raise ValidationError("bracket endpoints must carry different signs")
+        return tuple.__new__(cls, (lo, hi, f_lo, f_hi))
 
     @classmethod
     def scan(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":

@@ -9,8 +9,7 @@ lowercase snake_case throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
 from .model import Flow, LinkGains, OperatingPoint, RelayCandidate
@@ -22,8 +21,7 @@ _TOP_KEYS = {"gains", "placement", "operating", "rate", "candidates", "flows"}
 _FLOW_KEYS = {"source", "destination", "h_sd", "epsilon", "k", "rate", "candidates"}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     gains: LinkGains
     operating: OperatingPoint
     placement: Placement | None = None

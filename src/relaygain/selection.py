@@ -22,10 +22,10 @@ candidate pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .allocation import collaboration_gain
-from .energy import _bound, _pair_slots, _servable, _solve_slot
+from .energy import _pair_slots, _servable, _shortfall, _solve_slot
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
@@ -34,23 +34,28 @@ from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _c
 ADVISORY_THRESHOLD = 10.0
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
-    """Chosen protocol, chosen relay (absent for NCP) and the driving number."""
-
+class _SelectionDecision(NamedTuple):
     protocol: Protocol
     relay_id: str | None
     criterion_value: float
     exact_gain: float | None = None
     high_tern_advisory: bool = False
 
-    def __post_init__(self):
-        if (self.protocol is Protocol.NCP) != (self.relay_id is None):
+
+class SelectionDecision(_SelectionDecision):
+    """Chosen protocol, chosen relay (absent for NCP) and the driving number."""
+
+    __slots__ = ()
+
+    def __new__(cls, protocol: Protocol, relay_id: str | None, criterion_value: float,
+                exact_gain: float | None = None, high_tern_advisory: bool = False):
+        if (protocol is Protocol.NCP) != (relay_id is None):
             raise ValidationError("relay_id must be present exactly when protocol is CP")
+        return tuple.__new__(cls, (protocol, relay_id, criterion_value, exact_gain,
+                                   high_tern_advisory))
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     """Per-flow outcome: a decision, or the error that prevented one."""
 
     source: str
@@ -139,8 +144,9 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
                 beta1, beta2 = _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
                 options.append((beta1 + beta2, rank, cand.id, protocol, cand))
             else:
-                bound = eps * _bound(protocol, h_first, cand.h_rd, k)
-                violations.append(f"{label}: rate {rate!r} >= bound {bound!r}")
+                quantity, value, limit, limit_value = _shortfall(protocol, h_first, cand.h_rd,
+                                                                 eps, k, rate)
+                violations.append(f"{label}: {quantity} {value!r} >= {limit} {limit_value!r}")
     if not options:
         raise NoFeasibleOptionError(violations)
     total, _, _, protocol, cand = min(options)

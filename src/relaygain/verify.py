@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .allocation import collaboration_gain, cp_allocate, ncp_allocate
 from .bounds import (cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
@@ -30,8 +30,7 @@ GRID_K = (0.1, 1.0, 10.0)
 SANDWICH_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One verification line; passed=None marks informational entries."""
 
     name: str

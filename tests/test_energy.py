@@ -129,6 +129,15 @@ class TestServability:
             resource_usage(protocol, gains, op, 1e6)
         assert err.value.protocol == protocol.value
 
+    def test_partner_target_on_its_chord_names_target_and_chord(self):
+        # rate < 2.5*1.2 = 3.0 holds, but 0.2*rate rounds onto the chord 1.2*(0.2*2.5)
+        gains, op, rate = LinkGains(1.0, 2.0, 1.2), OperatingPoint(2.5, 0.2), 2.9999999999999996
+        with pytest.raises(InfeasibleRateError) as err:
+            resource_usage(Protocol.NCP, gains, op, rate)
+        assert str(err.value) == (
+            "NCP: partner target 0.6 is not servable (requires partner target < chord 0.6)")
+        assert (err.value.rate, err.value.bound) == (0.6, 0.6)
+
 
 class TestResourceUsage:
     def test_ncp_frozen_and_grid_checked(self):

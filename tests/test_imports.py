@@ -20,6 +20,9 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # the modules only some subcommands run
 ON_DEMAND = {"relaygain.bounds", "relaygain.geometry", "relaygain.selection", "relaygain.verify"}
+# standard modules no relaygain import may load: dataclasses alone takes ~12 ms
+# to import, since it pulls in inspect, ast, dis and tokenize
+HEAVY = {"dataclasses", "inspect"}
 
 PUBLIC_NAMES = [
     "Allocation", "BoundPair", "Bracket", "DeadLinkError", "EnergySolution",
@@ -41,9 +44,11 @@ PUBLIC_NAMES = [
 
 
 def loaded_after(code: str) -> set[str]:
-    """The relaygain modules a fresh interpreter holds after running `code`."""
+    """The relaygain modules, and those of HEAVY, a fresh interpreter holds after
+    running `code`."""
     script = (f"{code}\nimport json, sys\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('relaygain'))))")
+              "print(json.dumps(sorted(m for m in sys.modules\n"
+              f"                         if m.startswith('relaygain') or m in {HEAVY!r})))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -58,6 +63,10 @@ class TestColdStart:
             "relaygain", "relaygain.cli", "relaygain.errors", "relaygain.model",
             "relaygain.rootfind", "relaygain.scenario", "relaygain.allocation",
             "relaygain.energy"}
+
+    def test_no_record_import_loads_dataclasses(self):
+        # verify imports every other module
+        assert not loaded_after("import relaygain.verify") & HEAVY
 
     # (subcommand argv, the on-demand modules it may load)
     SUBCOMMANDS = {
@@ -81,6 +90,7 @@ class TestColdStart:
         loaded = loaded_after("from relaygain.cli import main\n"
                               f"assert main({[*argv, '--scenario', str(path)]!r}) == 0")
         assert loaded & ON_DEMAND == needs
+        assert not loaded & HEAVY
 
     def test_placement_document_loads_geometry_only(self, tmp_path):
         doc = {"placement": {"source": [-0.5, 0.0], "destination": [0.5, 0.0],
@@ -91,6 +101,7 @@ class TestColdStart:
         loaded = loaded_after("from relaygain.cli import main\n"
                               f"assert main(['placement', '--scenario', {str(path)!r}]) == 0")
         assert loaded & ON_DEMAND == {"relaygain.geometry"}
+        assert not loaded & HEAVY
 
 
 class TestLazyPackage:

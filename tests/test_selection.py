@@ -123,7 +123,7 @@ class TestSelectRelayResource:
         with pytest.raises(NoFeasibleOptionError) as err:
             select_relay_resource(2.0, [pair_a], op, rate)
         assert err.value.violations == [
-            "NCP(pair a): rate 2.9999999999999996 >= bound 3.0",
+            "NCP(pair a): partner target 0.6 >= chord 0.6",
             "CP(a): rate 2.9999999999999996 >= bound 0.5"]
         decision = select_relay_resource(2.0, [pair_a, pair_b], op, rate)
         assert (decision.protocol, decision.relay_id) == (Protocol.NCP, None)
