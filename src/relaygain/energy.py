@@ -34,7 +34,9 @@ is ln(1 + x) at the root and cannot overflow, from L + ln(L+1) + 1 with
 L = ln(1/r), and beta = target/u. Against 50-digit mpmath the share is
 within 6e-16 relative for r up to 1/2 and for 1 - r from 1e-11 to 0.02, and
 within 4e-15 in between, where log1p(x)/x - 1 still cancels. A share
-outside the normal float range is a ValidationError.
+outside the normal float range is a ValidationError. Since x only falls
+from its start, the share at the start bounds the slot from below
+(_slot_bound); resource selection prunes options with it.
 """
 
 from __future__ import annotations
@@ -244,36 +246,73 @@ def _descend(step, x: float, a: float, b: float = 0.0) -> float:
     raise IterationLimitError(0.0, x, _SLOT_NEWTON_CAP)
 
 
+def _slot_start(h: float, eps_user: float,
+                target: float) -> tuple[float, float, float, float, float, int]:
+    """Newton's start for a slot whose target lies below its chord: (x0, r, a, c, c_lo, e).
+
+    The chord is (c + c_lo) * 2**e exactly, with c in [1/4, 1), and r = target/chord.
+    For r <= 1/2 Newton runs in u = r*x, x0 = L + ln(L+1) + 1 and a = L = ln(1/r);
+    otherwise it runs in x, x0 = 3q/r and a = q = 1 - r. Either start lies right of
+    the root.
+    """
+    # the scaled two-product neither under- nor overflows, and target scaled alike
+    # stays below 1
+    m_h, e_h = math.frexp(h)
+    m_eps, e_eps = math.frexp(eps_user)
+    c, c_lo = _two_product(m_h, m_eps)
+    e = e_h + e_eps
+    # a TERN k*eps that overflowed to inf has frexp (inf, 0) and leaves r = 0
+    t_scaled = math.ldexp(target, -e) if c < math.inf else 0.0
+    r = t_scaled / c
+    if r <= 0.5:
+        # ln(1/r) from the unscaled logarithms where the scaled target has left the
+        # normal range; a target that underflowed to 0 has L = inf and share 0
+        if r > _R_LOG:
+            log_inv_r = -math.log(r)
+        elif target > 0.0:
+            log_inv_r = math.log(h) + math.log(eps_user) - math.log(target)
+        else:
+            log_inv_r = math.inf
+        return log_inv_r + math.log(log_inv_r + 1.0) + 1.0, r, log_inv_r, c, c_lo, e
+    # c - t_scaled is exact (Sterbenz), so q = 1 - r carries no rounding of the chord
+    q = ((c - t_scaled) + c_lo) / c
+    return 3.0 * q / r, r, q, c, c_lo, e
+
+
+def _slot_bound(h: float, eps_user: float, target: float) -> float:
+    """A lower bound on _solve_slot(h, eps_user, target) for a target below its chord:
+    the share that _solve_slot would return at Newton's start, +inf where that
+    overflows.
+
+    _descend only lowers x from the start, and the share falls as x rises. For
+    r > 1/2 the start is at least 1.19 times the root, far beyond the rounding of
+    c_lo/x, which may fall as x does.
+    """
+    x0, r, _, c, c_lo, e = _slot_start(h, eps_user, target)
+    if r <= 0.5:
+        return target / x0
+    try:
+        return math.ldexp(c / x0 + c_lo / x0, e)
+    except OverflowError:
+        return math.inf
+
+
 def _solve_slot(h: float, eps_user: float, target: float) -> float:
     """beta in (0, inf) with beta * ln(1 + h*eps_user/beta) = target.
 
     With r = target/chord and x = chord/beta the equation is log1p(x) = r*x,
-    solved by monotone Newton (_descend, at most _SLOT_NEWTON_CAP steps):
-    in x for r > 1/2, and in u = r*x, which cannot overflow, otherwise.
+    solved by monotone Newton (_descend, at most _SLOT_NEWTON_CAP steps) from
+    _slot_start: in x for r > 1/2, and in u = r*x, which cannot overflow, otherwise.
     Raises ValidationError when beta lies outside the normal float range.
     """
     chord = h * eps_user
     if not target < chord:
         raise InfeasibleRateError("slot", target, chord, "target", "chord")
-    # chord = (c + c_lo) * 2**e exactly, with c in [1/4, 1): the scaled two-product
-    # neither under- nor overflows, and target scaled alike stays below 1
-    m_h, e_h = math.frexp(h)
-    m_eps, e_eps = math.frexp(eps_user)
-    c, c_lo = _two_product(m_h, m_eps)
-    e = e_h + e_eps
-    t_scaled = math.ldexp(target, -e)
-    r = t_scaled / c
+    x0, r, a, c, c_lo, e = _slot_start(h, eps_user, target)
     if r <= 0.5:
-        # u = r*x = ln(1 + x) at the root, and beta = target/u; ln(1/r) from the
-        # unscaled logarithms where the scaled target has left the normal range
-        log_inv_r = -math.log(r) if r > _R_LOG else (
-            math.log(h) + math.log(eps_user) - math.log(target))
-        beta = target / _descend(_step_low, log_inv_r + math.log(log_inv_r + 1.0) + 1.0,
-                                 r, log_inv_r)
+        beta = target / _descend(_step_low, x0, r, a)
     else:
-        # c - t_scaled is exact (Sterbenz), so q = 1 - r carries no rounding of the chord
-        q = ((c - t_scaled) + c_lo) / c
-        x = _descend(_step_near_bound, 3.0 * q / r, q)
+        x = _descend(_step_near_bound, x0, a)
         try:
             beta = math.ldexp(c / x + c_lo / x, e)
         except OverflowError:

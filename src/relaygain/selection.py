@@ -17,7 +17,13 @@ the rate must lie below the chord feasibility bound and both users' slots
 must exist. It picks the servable option with the least total resource
 usage. Both users of a pair are billed: the partner's own-traffic slot
 depends on its downlink, so direct-transmission options are costed per
-candidate pair.
+candidate pair. The shares at an option's two Newton starts bound its total
+from below (energy._slot_bound). Options are solved in ascending bound
+order until the next bound exceeds the best total, when no remaining option
+can win or tie; user 1's direct slot is solved once for all NCP pairs. The
+decision is the one solving every option gives. A slot error is the one the
+first failing option in candidate order raises; an option pruned by its
+bound is never solved, so its slot cannot fail the selection.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .allocation import collaboration_gain
-from .energy import _pair_slots, _servable, _shortfall, _solve_slot
+from .energy import _pair_slots, _servable, _shortfall, _slot_bound, _solve_slot
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
@@ -67,8 +73,11 @@ class FlowResult(NamedTuple):
 def rate_energy_score(h_sd: float, cand: RelayCandidate, k: float) -> float:
     """Low-TERN score of a candidate, the CP chord bound over h_sd; invariant under
     common gain scaling."""
-    h_sd = _check_positive("h_sd", h_sd)
-    k = _check_positive("k", k)
+    return _score(_check_positive("h_sd", h_sd), cand, _check_positive("k", k))
+
+
+def _score(h_sd: float, cand: RelayCandidate, k: float) -> float:
+    """rate_energy_score on values already validated."""
     return min(cand.h_sr, cand.h_rd * k / (k + 1.0)) / h_sd
 
 
@@ -92,7 +101,8 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
     if not candidates:
         return SelectionDecision(Protocol.NCP, None, 0.0,
                                  high_tern_advisory=_advisory(op, h_sd))
-    ranked = sorted(candidates, key=lambda c: (-rate_energy_score(h_sd, c, op.k), c.id))
+    k = op.k
+    ranked = sorted(candidates, key=lambda c: (-_score(h_sd, c, k), c.id))
 
     def confirmed(cand: RelayCandidate) -> float:
         return collaboration_gain(_pair_gains(h_sd, cand), op).gain
@@ -115,9 +125,9 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
     gain, cand = best
     advisory = _advisory(op, h_sd, cand.h_sr, cand.h_rd)
     if gain > 1.0:
-        return SelectionDecision(Protocol.CP, cand.id, rate_energy_score(h_sd, cand, op.k),
+        return SelectionDecision(Protocol.CP, cand.id, _score(h_sd, cand, k),
                                  exact_gain=gain, high_tern_advisory=advisory)
-    return SelectionDecision(Protocol.NCP, None, rate_energy_score(h_sd, cand, op.k),
+    return SelectionDecision(Protocol.NCP, None, _score(h_sd, cand, k),
                              exact_gain=gain, high_tern_advisory=advisory)
 
 
@@ -135,21 +145,54 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
         return SelectionDecision(Protocol.NCP, None, _solve_slot(h_sd, eps, rate),
                                  high_tern_advisory=_advisory(op, h_sd))
 
+    # every NCP pair shares user 1's direct slot; its bound and value are taken once
+    direct_bound = direct = None
     options: list[tuple[float, int, str, Protocol, RelayCandidate]] = []
     violations: list[str] = []
     for cand in sorted(candidates, key=lambda c: c.id):
-        for rank, protocol, h_first, label in ((0, Protocol.NCP, h_sd, f"NCP(pair {cand.id})"),
-                                               (1, Protocol.CP, cand.h_sr, f"CP({cand.id})")):
+        for rank, protocol, h_first in ((0, Protocol.NCP, h_sd), (1, Protocol.CP, cand.h_sr)):
             if _servable(protocol, h_first, cand.h_rd, eps, k, rate):
-                beta1, beta2 = _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
-                options.append((beta1 + beta2, rank, cand.id, protocol, cand))
+                if protocol is Protocol.CP:
+                    first = _slot_bound(h_first, eps, rate)
+                    kappa = k + 1.0
+                else:
+                    if direct_bound is None:
+                        direct_bound = _slot_bound(h_sd, eps, rate)
+                    first = direct_bound
+                    kappa = k
+                options.append((first + _slot_bound(cand.h_rd, k * eps, kappa * rate),
+                                rank, cand.id, protocol, cand))
             else:
+                label = f"NCP(pair {cand.id})" if protocol is Protocol.NCP else f"CP({cand.id})"
                 quantity, value, limit, limit_value = _shortfall(protocol, h_first, cand.h_rd,
                                                                  eps, k, rate)
                 violations.append(f"{label}: {quantity} {value!r} >= {limit} {limit_value!r}")
     if not options:
         raise NoFeasibleOptionError(violations)
-    total, _, _, protocol, cand = min(options)
+    # an option's total is at least its bound: once the next bound exceeds the best
+    # total, no option left can win or tie it
+    best = None
+    try:
+        for bound, rank, cand_id, protocol, cand in sorted(options):
+            if best is not None and bound > best[0]:
+                break
+            if protocol is Protocol.CP:
+                beta1, beta2 = _pair_slots(protocol, cand.h_sr, cand.h_rd, eps, k, rate)
+            else:
+                if direct is None:
+                    direct = _solve_slot(h_sd, eps, rate)
+                beta1, beta2 = direct, _solve_slot(cand.h_rd, k * eps, k * rate)
+            option = (beta1 + beta2, rank, cand_id, protocol, cand)
+            if best is None or option < best:
+                best = option
+    except RelayGainError:
+        # raise the error of the first failing option in candidate order, whichever
+        # failing option the bounds reached first
+        for _, _, _, protocol, cand in options:
+            _pair_slots(protocol, h_sd if protocol is Protocol.NCP else cand.h_sr, cand.h_rd,
+                        eps, k, rate)
+        raise
+    total, _, _, protocol, cand = best
     return SelectionDecision(protocol, cand.id if protocol is Protocol.CP else None, total,
                              high_tern_advisory=_advisory(op, h_sd, cand.h_sr, cand.h_rd))
 

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relaygain.energy as energy
 from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_allocate,
@@ -210,6 +211,23 @@ class TestSlotExtremes:
         usage = resource_usage(protocol, LinkGains(1, 1e300, 1e300), OperatingPoint(1, 1), 1e-5)
         assert usage.beta1 == pytest.approx(beta1, rel=1e-12)
         assert usage.beta2 == pytest.approx(beta2, rel=1e-12)
+
+    def test_underflowed_partner_target_is_a_validation_error(self):
+        # k*rate = 1e-600 rounds to 0: a zero share, not log(0)'s ValueError
+        op = OperatingPoint(1e10, 1e-300)
+        with pytest.raises(ValidationError, match="share for rate 0.0 is below"):
+            resource_usage(Protocol.NCP, ONES, op, 1e-300)
+        assert energy._slot_bound(1.0, 1e-290, 0.0) == 0.0
+
+    def test_overflowed_partner_tern_is_a_validation_error(self):
+        # k*eps = inf; scaling the target 1e220 by the partner gain's exponent alone
+        # overflowed in ldexp. The true share exists (FOUND in CHANGES.md), but the
+        # slot reads an infinite chord and a share of 0.
+        op = OperatingPoint(1e100, 1e250)
+        with pytest.raises(ValidationError, match="share for rate 1e\\+220 is below"):
+            resource_usage(Protocol.NCP, LinkGains(1, 1, 1e-120), op, 1e-30)
+        assert energy._slot_bound(1e-120, math.inf, 1e220) == 0.0
+        assert energy._slot_bound(1.0, math.inf, 1e299) == 0.0
 
     def test_cli_reports_the_share_error(self, tmp_path, capsys):
         path = tmp_path / "tiny_rate.json"
@@ -474,3 +492,41 @@ class TestSlotAgainstLambertW:
         # 50-digit mpmath Lambert-W value
         assert usage.beta1 == pytest.approx(15000193050.208279, rel=1e-15)
         assert usage.beta2 == usage.beta1
+
+
+# r = target/chord near 0 (below _R_LOG too), near 1/2 and near 1
+_RATIOS = st.one_of(st.floats(-745.0, -1.0).map(math.exp), st.floats(0.499, 0.501),
+                    st.floats(-36.0, -0.7).map(lambda t: 1.0 - math.exp(t)))
+
+
+class TestSlotBound:
+    """_slot_bound, the share at Newton's start, never exceeds the slot it bounds."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(log_h=st.floats(-690.0, 690.0), log_eps=st.floats(-690.0, 690.0), r=_RATIOS)
+    def test_bound_is_at_most_the_solved_slot(self, log_h, log_eps, r):
+        h, eps_user = math.exp(log_h), math.exp(log_eps)
+        target = r * h * eps_user
+        if not 0.0 < target < h * eps_user or target == math.inf:
+            return
+        bound = energy._slot_bound(h, eps_user, target)
+        try:
+            beta = energy._solve_slot(h, eps_user, target)
+        except ValidationError as exc:
+            assert "float range" in str(exc)
+            return
+        assert 0.0 <= bound <= beta
+
+    @pytest.mark.parametrize("h, eps_user, target", [
+        (3.0, 0.1, 3e-10),                  # r = 1e-9
+        (1.0, 1.0, 0.5),                    # r = 1/2, the last start in u
+        (2.0, 0.25, 0.25000005),            # r just above 1/2, the first start in x
+        (1.0, 0.3, (1.0 - 1e-12) * 0.3),    # r near 1
+        (1e200, 1e200, 1e50),               # r = 1e-350, ln(1/r) from unscaled logarithms
+        (0.7, 1e-290, 1e-300),              # chord near the bottom of the float range
+    ])
+    def test_bound_against_lambert_w(self, h, eps_user, target):
+        mp = pytest.importorskip("mpmath")
+        bound = energy._slot_bound(h, eps_user, target)
+        assert 0.0 < bound <= energy._solve_slot(h, eps_user, target)
+        assert mp.mpf(bound) <= mp_lambert_slot(mp, h, eps_user, target)

@@ -1,13 +1,20 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaygain.energy as energy
+import relaygain.selection as selection
 from relaygain import (Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate,
-                       collaboration_gain, evaluate_network, rate_energy_score,
-                       select_relay_rate, select_relay_resource)
-from relaygain.errors import NoFeasibleOptionError, ValidationError
+                       SelectionDecision, collaboration_gain, evaluate_network,
+                       rate_energy_score, select_relay_rate, select_relay_resource)
+from relaygain.energy import _pair_slots, _servable, _shortfall, _slot_bound
+from relaygain.errors import NoFeasibleOptionError, RelayGainError, ValidationError
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestScore:
@@ -156,6 +163,172 @@ class TestSelectRelayResource:
         decision = select_relay_resource(1.0, [], OperatingPoint(1.0, 1.0), rate=0.2)
         assert decision.protocol is Protocol.NCP
         assert decision.criterion_value == pytest.approx(0.0751766918, abs=1e-9)
+
+
+def exhaustive_resource(h_sd, candidates, op, rate):
+    """Reference resource selection: _pair_slots on every servable option, in
+    candidate order, and the least (total, rank, id)."""
+    eps, k = op.epsilon, op.k
+    if not candidates:
+        return select_relay_resource(h_sd, candidates, op, rate)
+    options, violations = [], []
+    for cand in sorted(candidates, key=lambda c: c.id):
+        for rank, protocol, h_first, label in ((0, Protocol.NCP, h_sd, f"NCP(pair {cand.id})"),
+                                               (1, Protocol.CP, cand.h_sr, f"CP({cand.id})")):
+            if _servable(protocol, h_first, cand.h_rd, eps, k, rate):
+                beta1, beta2 = _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
+                options.append((beta1 + beta2, rank, cand.id, protocol, cand))
+            else:
+                quantity, value, limit, limit_value = _shortfall(protocol, h_first, cand.h_rd,
+                                                                 eps, k, rate)
+                violations.append(f"{label}: {quantity} {value!r} >= {limit} {limit_value!r}")
+    if not options:
+        raise NoFeasibleOptionError(violations)
+    total, _, _, protocol, cand = min(options)
+    return SelectionDecision(protocol, cand.id if protocol is Protocol.CP else None, total,
+                             high_tern_advisory=selection._advisory(op, h_sd, cand.h_sr, cand.h_rd))
+
+
+def outcome(select, h_sd, candidates, op, rate):
+    """What a selection gives, comparable bit for bit: a decision or a structured
+    error. Any other exception fails the test that asks."""
+    try:
+        d = select(h_sd, candidates, op, rate)
+    except RelayGainError as exc:
+        return type(exc), str(exc)
+    return d.protocol, d.relay_id, d.criterion_value.hex(), d.exact_gain, d.high_tern_advisory
+
+
+def random_flows(seed, count, lo, hi):
+    """(h_sd, candidates, op, rate): gains, eps and k log-uniform in [lo, hi], 0-8
+    candidates, the rate 1e-3 to 4 times the direct chord bound."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        h_sd, eps, k = (math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(3))
+        rate = math.exp(rng.uniform(math.log(1e-3), math.log(4.0))) * eps * h_sd
+        cands = [RelayCandidate(f"c{j}", math.exp(rng.uniform(math.log(lo), math.log(hi))),
+                                math.exp(rng.uniform(math.log(lo), math.log(hi))))
+                 for j in range(rng.randint(0, 8))]
+        yield h_sd, cands, OperatingPoint(eps, k), rate
+
+
+def bench_flow_pool():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for f in workloads.flow_pool():
+        yield (f["h_sd"], [RelayCandidate(*c) for c in f["candidates"]],
+               OperatingPoint(f["epsilon"], f["k"]), f["rate"])
+
+
+# the inputs of test_slot_extremes_do_not_abort_batch, and the FOUND k*eps overflow
+# of CHANGES.md: gains (1, 1, 1), eps = 1e10, k = 1e299
+EXTREME_FLOWS = [
+    (1.0, [], OperatingPoint(1.0, 1.0), 1e-306),
+    (1e300, [RelayCandidate("r", 1e300, 1e300)], OperatingPoint(1.0, 1.0), 1e-5),
+    (1.0, [RelayCandidate("a", 1.0, 1.0)], OperatingPoint(1e10, 1e299), 1.0),
+    # both options raise: CP has the lower bound, but NCP comes first in candidate order
+    (1.5e-306, [RelayCandidate("a", 1.0, 1e10)], OperatingPoint(1.0, 1e-5), 1e-306),
+]
+
+
+class TestPrunedResourceSelection:
+    """Bound-ordered pruning decides exactly what solving every option decides."""
+
+    @pytest.mark.parametrize("seed, lo, hi", [(1, 0.05, 20.0), (2, 1e-30, 1e30)])
+    def test_seeded_flows_match_exhaustive(self, seed, lo, hi):
+        for flow in random_flows(seed, 500, lo, hi):
+            assert outcome(select_relay_resource, *flow) == outcome(exhaustive_resource, *flow), flow
+
+    def test_bench_flow_pool_matches_exhaustive(self):
+        flows = list(bench_flow_pool())
+        assert len(flows) == 3000
+        for flow in flows:
+            assert outcome(select_relay_resource, *flow) == outcome(exhaustive_resource, *flow), flow
+
+    def test_extreme_flows_match_exhaustive(self):
+        outcomes = [outcome(select_relay_resource, *flow) for flow in EXTREME_FLOWS]
+        assert outcomes == [outcome(exhaustive_resource, *flow) for flow in EXTREME_FLOWS]
+        assert outcomes[2] == (ValidationError,
+                               "the share for rate 1e+299 is below the normal float range")
+        assert outcomes[3] == (ValidationError,
+                               "the share for rate 1e-311 is below the normal float range")
+
+    def test_exact_ties_break_as_exhaustive(self):
+        # NCP totals depend on h_sd and h_rd only: a and b tie, and so do their bounds;
+        # the chosen candidate's h_sr sets the advisory, so the tie must go to "a"
+        op = OperatingPoint(20.0, 1.0)
+        for cands in ([RelayCandidate("b", 0.1, 2.0), RelayCandidate("a", 5.0, 2.0)],
+                      [RelayCandidate("a", 5.0, 2.0), RelayCandidate("b", 0.1, 2.0)],
+                      [RelayCandidate("b", 3.0, 3.0), RelayCandidate("a", 3.0, 3.0)]):
+            for rate in (1.0, 5.0, 10.0, 30.0):
+                flow = (1.0, cands, op, rate)
+                assert outcome(select_relay_resource, *flow) == outcome(exhaustive_resource, *flow)
+        d = select_relay_resource(1.0, [RelayCandidate("b", 0.1, 2.0),
+                                        RelayCandidate("a", 5.0, 2.0)], op, 1.0)
+        assert (d.protocol, d.relay_id, d.high_tern_advisory) == (Protocol.NCP, None, True)
+
+    def test_wide_draws_raise_no_foreign_error(self):
+        """Over gains, eps and k in 1e-300..1e300 no ValueError or OverflowError escapes.
+        Pruning changes an outcome only where the exhaustive scan raised: every option
+        that raises then has a bound above the chosen total."""
+        pruned = 0
+        for h_sd, cands, op, rate in random_flows(3, 1500, 1e-300, 1e300):
+            if not 0.0 < rate < math.inf:
+                continue
+            got = outcome(select_relay_resource, h_sd, cands, op, rate)
+            want = outcome(exhaustive_resource, h_sd, cands, op, rate)
+            if got == want:
+                continue
+            assert want[0] is ValidationError and isinstance(got[0], Protocol), (got, want)
+            pruned += 1
+            eps, k = op.epsilon, op.k
+            for cand in cands:
+                for protocol, h_first in ((Protocol.NCP, h_sd), (Protocol.CP, cand.h_sr)):
+                    if not _servable(protocol, h_first, cand.h_rd, eps, k, rate):
+                        continue
+                    try:
+                        _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
+                    except ValidationError:
+                        kappa = k if protocol is Protocol.NCP else k + 1.0
+                        bound = (_slot_bound(h_first, eps, rate)
+                                 + _slot_bound(cand.h_rd, k * eps, kappa * rate))
+                        assert bound > float.fromhex(got[2])
+        assert pruned > 0
+
+    def test_pruned_option_that_would_raise(self):
+        # NCP's partner target k*rate = 1e-309 has a share below the normal float range,
+        # but NCP's direct slot alone (r = 2/3) exceeds CP's total; the exhaustive scan
+        # solves NCP first and raises, the pruned one never solves it
+        flow = (1.5e-4, [RelayCandidate("a", 1.0, 1e302)], OperatingPoint(1.0, 1e-305), 1e-4)
+        assert outcome(exhaustive_resource, *flow) == (
+            ValidationError, "the share for rate 1e-309 is below the normal float range")
+        d = select_relay_resource(*flow)
+        assert (d.protocol, d.relay_id) == (Protocol.CP, "a")
+        assert d.criterion_value == pytest.approx(3.623398928639826e-05, rel=1e-15)
+        assert _slot_bound(1.5e-4, 1.0, 1e-4) > d.criterion_value
+
+    def test_slot_solves_go_through_the_hooked_names(self, monkeypatch):
+        """The benchmark counts slot solves by wrapping _solve_slot where energy and
+        selection bind it; every solve of the pruned selection passes one of them."""
+        solves = []
+        solve_slot = energy._solve_slot
+
+        def counting(*args):
+            solves.append(args)
+            return solve_slot(*args)
+
+        monkeypatch.setattr(energy, "_solve_slot", counting)
+        monkeypatch.setattr(selection, "_solve_slot", counting)
+        cands = [RelayCandidate("a", 4.0, 4.0), RelayCandidate("b", 2.0, 0.5),
+                 RelayCandidate("c", 0.8, 3.0), RelayCandidate("d", 6.0, 1.5)]
+        d = select_relay_resource(1.0, cands, OperatingPoint(1.0, 1.0), 0.3)
+        assert (d.protocol, d.relay_id) == (Protocol.NCP, None)
+        assert d.criterion_value == 0.22042986849346258
+        # seven servable options: 14 solves exhaustively; the direct slot once, and
+        # only the options whose bounds reach the best total
+        assert len(solves) == 6
+        assert solves.count((1.0, 1.0, 0.3)) == 1
 
 
 class TestEvaluateNetwork:
