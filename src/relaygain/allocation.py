@@ -17,15 +17,24 @@ are one residual
     kappa * beta * ln(1 + h_first*eps/beta) - (1 - beta) * ln(1 + h23*k*eps/(1 - beta))
 
 with kappa = k, h_first = h13 for NCP and kappa = k + 1, h_first = h12 for CP.
+
+_share solves it between the clamped ends [_BETA_LO, _BETA_HI] with the
+safeguarded Illinois steps of rootfind.solve_monotone, run inline: the
+residual is written out at each evaluation, so a solve calls no function
+per evaluation and builds no Bracket. It bumps rootfind's solve counters
+as solve_monotone does. A drift test in tests/test_allocation.py pins the
+two copies together: bitwise-equal shares, errors and counts.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .errors import IterationLimitError, NaNResidualError, NoSignChangeError, ValidationError
 from .model import Allocation, GainReport, LinkGains, OperatingPoint, Protocol
-from .rootfind import Bracket, solve_monotone
+from .rootfind import _COUNTS
+# unused here; bench/spans.py hooks the solver where this module binds it
+from .rootfind import solve_monotone  # noqa: F401
 
 # The residual extends continuously to the endpoints (b*ln(1+c/b) -> 0 as
 # b -> 0+), so clamped endpoints keep the sign change without evaluating
@@ -37,16 +46,80 @@ _BETA_HI = 1.0 - 1e-15
 _MAX_EVALS = 3 * 103
 
 
+def _share(kappa: float, chord1: float, chord2: float) -> float:
+    """Root in [_BETA_LO, _BETA_HI] of kappa*b*log1p(chord1/b) - (1-b)*log1p(chord2/(1-b)).
+
+    The endpoint scan of Bracket.scan, then the steps of solve_monotone
+    with the residual written out at each evaluation: the same operations
+    in the same order, so the share, the errors and the _COUNTS deltas are
+    those of solve_monotone(residual, Bracket.scan(residual, _BETA_LO,
+    _BETA_HI), _MAX_EVALS).
+    """
+    log1p = math.log1p
+    lo, hi = _BETA_LO, _BETA_HI
+    f_lo = kappa * lo * log1p(chord1 / lo) - (1.0 - lo) * log1p(chord2 / (1.0 - lo))
+    f_hi = kappa * hi * log1p(chord1 / hi) - (1.0 - hi) * log1p(chord2 / (1.0 - hi))
+    if f_lo != f_lo or f_hi != f_hi:
+        raise NaNResidualError(lo if f_lo != f_lo else hi)
+    if (f_lo > 0.0) is (f_hi > 0.0) and (f_lo < 0.0) is (f_hi < 0.0):
+        raise NoSignChangeError(lo, hi, f_lo, f_hi)
+    max_evals = _MAX_EVALS
+    n = 0  # evaluations beyond the bracket's two, at every exit
+    try:
+        if f_lo == 0.0:
+            return lo
+        if f_hi == 0.0:
+            return hi
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+
+        lo_negative = f_lo < 0.0
+        kept = 0
+        width = hi - lo
+        for n in range(1, max_evals + 1):
+            x = mid
+            if n % 3 or hi - lo <= 0.5 * width:
+                t = f_lo / (f_lo - f_hi)
+                if 0.0 < t <= 0.5:
+                    x = lo + (hi - lo) * t
+                    if x <= lo:
+                        x = math.nextafter(lo, hi)
+                elif t > 0.5:
+                    x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                    if x >= hi:
+                        x = math.nextafter(hi, lo)
+            fx = kappa * x * log1p(chord1 / x) - (1.0 - x) * log1p(chord2 / (1.0 - x))
+            if fx == 0.0:
+                return x
+            if fx != fx:
+                raise NaNResidualError(x)
+            if (fx < 0.0) is lo_negative:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            else:
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            if n % 3 == 0:
+                width = hi - lo
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return mid
+        raise IterationLimitError(lo, hi, max_evals)
+    finally:
+        _COUNTS.solves += 1
+        _COUNTS.evals += n + 2
+
+
 def _allocate(protocol: Protocol, h_first: float, h23: float, op: OperatingPoint) -> Allocation:
     eps, k = op.epsilon, op.k
     kappa = k if protocol is Protocol.NCP else k + 1.0
-    chord1, chord2 = h_first * eps, h23 * k * eps
-
-    def residual(b: float) -> float:
-        return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
-
-    bracket = Bracket.scan(residual, _BETA_LO, _BETA_HI)
-    beta = solve_monotone(residual, bracket, max_iter=_MAX_EVALS)
+    chord1 = h_first * eps
+    beta = _share(kappa, chord1, h23 * k * eps)
     base_rate = beta * math.log1p(chord1 / beta)
     rate2 = k * base_rate
     return Allocation(protocol, beta, base_rate, rate2, base_rate + rate2)

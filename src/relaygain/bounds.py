@@ -1,6 +1,6 @@
 """Closed-form bounds on the optimal base rate, and its asymptotic limits.
 
-Two constructions sandwich the exact base rate for every operating point:
+Two constructions sandwich the exact base rate, with the exceptions below:
 
 * high-TERN pair: first-order tangents to the two rate curves at the
   share each protocol approaches as eps -> inf (1/(k+1) for NCP,
@@ -11,8 +11,22 @@ Two constructions sandwich the exact base rate for every operating point:
   gives two parabolas whose equalization point (a stable quadratic root)
   lower-bounds the rate; the curve endpoints min{...} upper-bound it.
 
-All four brackets hold for every eps; tightness alternates with regime.
-Negative parabola values are clamped at zero (rates are nonnegative).
+Tightness alternates with regime. Negative parabola values are clamped at
+zero (rates are nonnegative). The brackets do not hold for every eps:
+
+* the low-TERN lower bound can exceed the exact rate. Where the
+  equalization share falls at 1, the value returned is user 1's parabola
+  alone, and only the min of both parabolas bounds the rate there.
+  cp_bounds_low_tern at gains (1e4, 1, 1e-4), eps=1e-6, k=0.01 returns
+  lower 0.00995, above its own upper 9.9e-13, which is the exact rate.
+  Over wide seeded draws (gains e^+-10, eps e^+-25, k e^+-5) 1.5% of
+  these lowers exceed the exact rate; none did over the ranges of the
+  benchmark's flows and of verify's grids;
+* the high-TERN pair and the low-TERN upper bound showed no violation in
+  those draws, but at extreme inputs a product that under- or overflows
+  gives a NaN upper, or an upper of 0 below the lower.
+
+ROADMAP item 8 tracks the fix.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ lies in that last gap; infinite end values give the midpoint. A bisection
 safeguard bounds the worst case: every third step bisects unless the two
 steps before it halved the bracket. The solve is bitwise deterministic,
 and it stops on adjacent doubles or on an exact zero of f.
+
+_COUNTS keeps running totals of the solves, counted once per solve: read
+its deltas around a call. allocation runs the same steps inline for the
+fair share and bumps the same totals.
 """
 
 from __future__ import annotations
@@ -17,6 +21,23 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import IterationLimitError, NaNResidualError, NoSignChangeError, ValidationError
+
+
+class _Counts:
+    """Solves started, and the evaluations of f they made, the bracket's two included.
+
+    A solve that fails after its bracket counts; a scan that finds no
+    sign change is no solve and counts nothing.
+    """
+
+    __slots__ = ("solves", "evals")
+
+    def __init__(self):
+        self.solves = 0
+        self.evals = 0
+
+
+_COUNTS = _Counts()
 
 
 def _sign(value: float) -> int:
@@ -72,54 +93,60 @@ def solve_monotone(f: Callable[[float], float], bracket: Bracket, max_iter: int)
     3*m evaluations. A NaN value of f raises NaNResidualError; running out
     of max_iter evaluations raises IterationLimitError with the last
     bracket. The result always lies inside the initial bracket and is
-    bitwise identical across calls with identical inputs.
+    bitwise identical across calls with identical inputs. Each call adds
+    one solve and n + 2 evaluations to _COUNTS.
     """
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-
-    lo_negative = f_lo < 0.0
-    kept = 0  # +1 after lo was kept (hi moved), -1 after hi was kept
-    width = hi - lo  # width at the start of the current window of three steps
-    for n in range(1, max_iter + 1):
+    n = 0  # evaluations of f so far, at every exit
+    try:
+        if f_lo == 0.0:
+            return lo
+        if f_hi == 0.0:
+            return hi
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid
-        x = mid
-        if n % 3 or hi - lo <= 0.5 * width:
-            # the secant point, measured from the end it lies nearer to; NaN
-            # or 0 from infinite end values leaves the midpoint
-            t = f_lo / (f_lo - f_hi)
-            if 0.0 < t <= 0.5:
-                x = lo + (hi - lo) * t
-                if x <= lo:
-                    x = math.nextafter(lo, hi)
-            elif t > 0.5:
-                x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
-                if x >= hi:
-                    x = math.nextafter(hi, lo)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx != fx:
-            raise NaNResidualError(x)
-        if (fx < 0.0) is lo_negative:
-            lo, f_lo = x, fx
-            if kept < 0:
-                f_hi *= 0.5
-            kept = -1
-        else:
-            hi, f_hi = x, fx
-            if kept > 0:
-                f_lo *= 0.5
-            kept = 1
-        if n % 3 == 0:
-            width = hi - lo
-    mid = 0.5 * (lo + hi)
-    if mid <= lo or mid >= hi:
-        return mid
-    raise IterationLimitError(lo, hi, max_iter)
+
+        lo_negative = f_lo < 0.0
+        kept = 0  # +1 after lo was kept (hi moved), -1 after hi was kept
+        width = hi - lo  # width at the start of the current window of three steps
+        for n in range(1, max_iter + 1):
+            x = mid
+            if n % 3 or hi - lo <= 0.5 * width:
+                # the secant point, measured from the end it lies nearer to; NaN
+                # or 0 from infinite end values leaves the midpoint
+                t = f_lo / (f_lo - f_hi)
+                if 0.0 < t <= 0.5:
+                    x = lo + (hi - lo) * t
+                    if x <= lo:
+                        x = math.nextafter(lo, hi)
+                elif t > 0.5:
+                    x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                    if x >= hi:
+                        x = math.nextafter(hi, lo)
+            fx = f(x)
+            if fx == 0.0:
+                return x
+            if fx != fx:
+                raise NaNResidualError(x)
+            if (fx < 0.0) is lo_negative:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            else:
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            if n % 3 == 0:
+                width = hi - lo
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return mid
+        raise IterationLimitError(lo, hi, max_iter)
+    finally:
+        _COUNTS.solves += 1
+        _COUNTS.evals += n + 2

@@ -10,7 +10,9 @@ import relaygain.allocation as allocation
 from relaygain import (LinkGains, OperatingPoint, Protocol, collaboration_gain,
                        collinear_gains, cp_allocate, grid_values, ncp_allocate)
 from relaygain.cli import main
-from relaygain.errors import DeadLinkError
+from relaygain.errors import (DeadLinkError, IterationLimitError, NaNResidualError,
+                              NoSignChangeError, RelayGainError)
+from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
 
 LN3 = math.log(3)
 
@@ -214,26 +216,81 @@ class TestShareAgainstMpmath:
                 beta, _, band = mp_share(mp, alloc.protocol, gains, op, alloc.beta)
                 assert abs(alloc.beta - beta) <= 4 * math.ulp(float(beta)) + band, (gains, op)
 
-    def test_evaluations_per_share(self, monkeypatch):
+    def test_evaluations_per_share(self):
         """Residual evaluations per share solve, beyond the bracket's two, on the
         README collinear sweep: at most 14 on average (12.2 measured; plain
-        bisection took 47), and within the stated bound."""
+        bisection took 47), and within the stated bound. Read from the solve
+        counters around each allocation, which makes one solve."""
         counts = []
-
-        def counting(f, bracket, **kwargs):
-            def g(b):
-                counts[-1] += 1
-                return f(b)
-            counts.append(0)
-            return solve(g, bracket, **kwargs)
-
-        solve = allocation.solve_monotone
-        monkeypatch.setattr(allocation, "solve_monotone", counting)
         op = OperatingPoint(0.01, 1.0)
         for d in grid_values(0.01, 0.99, 0.001):
-            collaboration_gain(collinear_gains(d, 2.0), op)
+            gains = collinear_gains(d, 2.0)
+            for allocate in (ncp_allocate, cp_allocate):
+                solves, evals = _COUNTS.solves, _COUNTS.evals
+                allocate(gains, op)
+                assert _COUNTS.solves - solves == 1
+                counts.append(_COUNTS.evals - evals - 2)
         assert sum(counts) / len(counts) <= 14
         assert max(counts) <= allocation._MAX_EVALS
+
+
+def _outcome(run):
+    """(share as hex, or error class and message; solve and evaluation count deltas)."""
+    solves, evals = _COUNTS.solves, _COUNTS.evals
+    try:
+        result = run().hex()
+    except RelayGainError as exc:
+        result = (type(exc), str(exc))
+    return result, (_COUNTS.solves - solves, _COUNTS.evals - evals)
+
+
+def _share_pair(protocol, gains, op, max_iter):
+    """The inlined share solve and solve_monotone on the same residual, as outcomes."""
+    eps, k = op.epsilon, op.k
+    kappa, h_first = (k, gains.h13) if protocol is Protocol.NCP else (k + 1.0, gains.h12)
+    chord1, chord2 = h_first * eps, gains.h23 * k * eps
+
+    def residual(b):
+        return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
+
+    inline = _outcome(lambda: allocation._allocate(protocol, h_first, gains.h23, op).beta)
+    reference = _outcome(lambda: solve_monotone(
+        residual, Bracket.scan(residual, allocation._BETA_LO, allocation._BETA_HI), max_iter))
+    return inline, reference
+
+
+class TestInlineShareDrift:
+    """allocation runs solve_monotone's steps inline; the two copies must not drift."""
+
+    def test_seeded_draws_match_bitwise(self):
+        rng = random.Random(1971)
+        solved = 0
+        for _ in range(2000):
+            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
+            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            for protocol in Protocol:
+                inline, reference = _share_pair(protocol, gains, op, allocation._MAX_EVALS)
+                assert inline == reference, (protocol, gains, op)
+                solved += isinstance(inline[0], str)
+        assert solved >= 3900
+
+    @pytest.mark.parametrize("gains, op, error", [
+        (LinkGains(1, 1e-4, 1e3), OperatingPoint(1e-8, 0.01), NoSignChangeError),
+        (LinkGains(1e200, 1e200, 1e200), OperatingPoint(1e200, 1), NaNResidualError),
+    ])
+    def test_error_paths_match(self, gains, op, error):
+        outcomes = [_share_pair(p, gains, op, allocation._MAX_EVALS) for p in Protocol]
+        for inline, reference in outcomes:
+            assert inline == reference
+        assert any(inline[0][0] is error for inline, _ in outcomes)
+
+    def test_iteration_limit_matches(self, monkeypatch):
+        monkeypatch.setattr(allocation, "_MAX_EVALS", 4)
+        for protocol in Protocol:
+            inline, reference = _share_pair(protocol, LinkGains(1, 2, 3), OperatingPoint(0.5, 2), 4)
+            assert inline == reference
+            assert inline[0][0] is IterationLimitError
+            assert inline[1] == (1, 6)
 
 
 # The README's rate sweeps, the stride of rows checked in each and the

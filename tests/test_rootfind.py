@@ -1,8 +1,10 @@
+import contextlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaygain.rootfind as rootfind
 from relaygain import Bracket, ValidationError, solve_monotone
 from relaygain.errors import IterationLimitError, NaNResidualError, NoSignChangeError
 
@@ -93,6 +95,19 @@ def test_iteration_limit_carries_last_bracket():
     assert err.value.iterations == 10
     assert err.value.hi - err.value.lo <= 1.0 / 2 ** 3
     assert err.value.lo <= 1.0 / 3.0 <= err.value.hi
+
+
+@pytest.mark.parametrize("lo, hi, max_iter, solves", [
+    (0.0, 1.0, MAX_ITER, 1), (0.0, 1.0, 10, 1), (0.5, 1.0, MAX_ITER, 0)])
+def test_counts_one_solve_and_every_evaluation(lo, hi, max_iter, solves):
+    """Each solve, failed or not, adds one solve and every evaluation of f,
+    the bracket's two included, to the counters; a failed scan adds nothing."""
+    f = counted(lambda x: x ** 3 - 1.0 / 27.0)
+    before = rootfind._COUNTS.solves, rootfind._COUNTS.evals
+    with contextlib.suppress(IterationLimitError, NoSignChangeError):
+        solve_monotone(f, Bracket.scan(f, lo, hi), max_iter)
+    assert rootfind._COUNTS.solves - before[0] == solves
+    assert rootfind._COUNTS.evals - before[1] == f.calls * solves
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 40])
