@@ -23,8 +23,9 @@ zero (rates are nonnegative). The brackets do not hold for every eps:
   these lowers exceed the exact rate; none did over the ranges of the
   benchmark's flows and of verify's grids;
 * the high-TERN pair and the low-TERN upper bound showed no violation in
-  those draws, but at extreme inputs a product that under- or overflows
-  gives a NaN upper, or an upper of 0 below the lower.
+  those draws. A high-TERN chord that overflows is a ValidationError
+  rather than a NaN upper, but where k*h23*eps underflows to 0 the
+  low-TERN upper is 0, below its lower.
 
 ROADMAP item 8 tracks the fix.
 """
@@ -72,10 +73,17 @@ def _tangent_construction(h_first: float, h23: float, eps: float, k: float,
 
     kappa = k for NCP, k+1 for CP; the tangent point sits at 1/(kappa+1).
     Where both tangent gaps underflow the lines are parallel: no bound.
+    Where a tangent chord overflows its gap is NaN: no bound either. Each
+    tangent chord is an endpoint chord times a factor above 1 (kappa + 1
+    for user 1, (kappa+1)/kappa for the partner), so this also rejects
+    every infinite chord of _chord_intersection.
     """
     m = kappa + 1.0
     a = m * h_first * eps
     b = h23 * k * eps * m / kappa
+    if not (a < math.inf and b < math.inf):
+        raise ValidationError(f"high-TERN bound undefined: the tangent chords {a!r} and {b!r} "
+                              "must be finite")
     big_a, big_b = math.log1p(a), math.log1p(b)
     gap_a, gap_b = _tangent_gap(a), _tangent_gap(b)
     den = kappa * gap_a + gap_b

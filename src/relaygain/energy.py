@@ -13,6 +13,11 @@ L(x) = ln(expm1(x)/x), down to adjacent doubles, and eps_min = eps1(beta).
 Written with L the ln R terms cancel, which keeps near-tie crossings at low
 rates accurate. The logarithms stay finite where eps overflows, so a TERN
 beyond the float range is a ValidationError rather than a wrong number.
+_crossing runs the safeguarded Illinois steps of rootfind.solve_monotone
+inline on [0, 1], with the gap written out at each evaluation, and bumps
+rootfind's solve counters as solve_monotone does. A drift test in
+tests/test_energy.py pins the two copies together: bitwise-equal shares,
+errors and counts.
 
 Resource usage drops the unit budget: each user independently solves
 
@@ -36,7 +41,8 @@ within 6e-16 relative for r up to 1/2 and for 1 - r from 1e-11 to 0.02, and
 within 4e-15 in between, where log1p(x)/x - 1 still cancels. A share
 outside the normal float range is a ValidationError. Since x only falls
 from its start, the share at the start bounds the slot from below
-(_slot_bound); resource selection prunes options with it.
+(_slot_bound); resource selection prunes options with it. Each slot solve
+and its Newton steps are counted in rootfind._COUNTS.
 """
 
 from __future__ import annotations
@@ -47,9 +53,11 @@ from typing import NamedTuple
 
 # unused here; bench/spans.py hooks the allocators where this module binds them
 from .allocation import cp_allocate, ncp_allocate  # noqa: F401
-from .errors import InfeasibleRateError, IterationLimitError, ValidationError
+from .errors import InfeasibleRateError, IterationLimitError, NaNResidualError, ValidationError
 from .model import LinkGains, OperatingPoint, Protocol, _check_positive
-from .rootfind import Bracket, solve_monotone
+from .rootfind import _COUNTS
+# unused here; bench/spans.py hooks the solver where this module binds it
+from .rootfind import solve_monotone  # noqa: F401
 
 # bisection of [0, 1] reaches adjacent doubles within this many halvings,
 # subnormal shares included; the solver halves once per 3 evaluations
@@ -150,13 +158,74 @@ def _log_expm1(x: float) -> float:
     return x + math.log1p(-math.exp(-x)) if x > 1.0 else math.log(math.expm1(x))
 
 
-def _log_expm1_ratio(x: float) -> float:
-    """ln(expm1(x)/x) for x > 0, finite where expm1 overflows and +inf at x = inf."""
-    if x > 1.0:
-        return _log_expm1(x) - math.log(x) if x < math.inf else x
-    if x < 1e-3:
-        return x * (0.5 + x * (1.0 / 24.0 - x * x / 2880.0))
-    return math.log(math.expm1(x) / x)
+def _crossing(offset: float, rate: float, partner_rate: float) -> float:
+    """Root in [0, 1] of the gap offset + L(rate/b) - L(partner_rate/(1-b)).
+
+    The bracket [0, 1] with the gap's end values +inf and -inf, then the
+    steps of solve_monotone with the gap written out at each evaluation,
+    L(x) = ln(expm1(x)/x) by a series below 1e-3, ln(expm1(x)/x) up to 1,
+    and x + log1p(-e^-x) - ln x above, +inf at x = inf: the same operations
+    in the same order, so the share, the errors and the _COUNTS deltas are
+    those of solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0),
+    3 * _SHARE_HALVINGS). Every evaluated share lies strictly inside (0, 1).
+    """
+    log, log1p, exp, expm1, inf = math.log, math.log1p, math.exp, math.expm1, math.inf
+    # the gap falls from +inf at 0, where a share carries no rate at any TERN, to -inf at 1
+    lo, hi, f_lo, f_hi = 0.0, 1.0, inf, -inf
+    mid, kept, width = 0.5, 0, 1.0
+    max_iter = 3 * _SHARE_HALVINGS
+    n = 0  # evaluations beyond the bracket's two, at every exit
+    try:
+        for n in range(1, max_iter + 1):
+            x = mid
+            if n % 3 or hi - lo <= 0.5 * width:
+                t = f_lo / (f_lo - f_hi)
+                if 0.0 < t <= 0.5:
+                    x = lo + (hi - lo) * t
+                    if x <= lo:
+                        x = math.nextafter(lo, hi)
+                elif t > 0.5:
+                    x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                    if x >= hi:
+                        x = math.nextafter(hi, lo)
+            u = rate / x
+            if u > 1.0:
+                l_u = u + log1p(-exp(-u)) - log(u) if u < inf else u
+            elif u < 1e-3:
+                l_u = u * (0.5 + u * (1.0 / 24.0 - u * u / 2880.0))
+            else:
+                l_u = log(expm1(u) / u)
+            v = partner_rate / (1.0 - x)
+            if v > 1.0:
+                l_v = v + log1p(-exp(-v)) - log(v) if v < inf else v
+            elif v < 1e-3:
+                l_v = v * (0.5 + v * (1.0 / 24.0 - v * v / 2880.0))
+            else:
+                l_v = log(expm1(v) / v)
+            fx = offset + l_u - l_v
+            if fx == 0.0:
+                return x
+            if fx != fx:
+                raise NaNResidualError(x)
+            if fx > 0.0:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            else:
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            if n % 3 == 0:
+                width = hi - lo
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return mid
+        raise IterationLimitError(lo, hi, max_iter)
+    finally:
+        _COUNTS.solves += 1
+        _COUNTS.evals += n + 2
 
 
 def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> EnergySolution:
@@ -178,16 +247,7 @@ def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> Ene
             f"e^{_log_expm1(rate) - math.log(h_first):.6g}, outside the float range")
     # ln eps1(b) - ln eps2(b) with ln(b*expm1(R/b)) = ln R + L(R/b): the ln R terms cancel
     offset = math.log(k / kappa) + math.log(h23) - math.log(h_first)
-
-    def gap(b: float) -> float:
-        if b == 0.0:
-            return math.inf  # a zero share carries no rate at any TERN
-        if b == 1.0:
-            return -math.inf
-        return offset + _log_expm1_ratio(rate / b) - _log_expm1_ratio(partner_rate / (1.0 - b))
-
-    bracket = Bracket.scan(gap, 0.0, 1.0)
-    beta = solve_monotone(gap, bracket, max_iter=3 * _SHARE_HALVINGS)
+    beta = _crossing(offset, rate, partner_rate)
     log_eps = math.log(beta) + _log_expm1(rate / beta) - math.log(h_first)
     if not _LOG_FLOAT_MIN <= log_eps <= _LOG_FLOAT_MAX:
         raise ValidationError(
@@ -234,16 +294,21 @@ def _descend(step, x: float, a: float, b: float = 0.0) -> float:
     iterate stays right of the root and x falls onto it monotonically.
     It stops once x no longer falls, or after a step below _SLOT_STEP_TOL
     of x, since convergence is quadratic. More than _SLOT_NEWTON_CAP steps
-    raise IterationLimitError with the root's bracket (0, x].
+    raise IterationLimitError with the root's bracket (0, x]. The steps
+    taken are added to _COUNTS.newton_steps on every exit.
     """
-    for _ in range(_SLOT_NEWTON_CAP):
-        nxt = x - step(x, a, b)
-        if not nxt < x:
-            return x
-        if x - nxt <= _SLOT_STEP_TOL * x:
-            return nxt
-        x = nxt
-    raise IterationLimitError(0.0, x, _SLOT_NEWTON_CAP)
+    steps = 0
+    try:
+        for steps in range(1, _SLOT_NEWTON_CAP + 1):
+            nxt = x - step(x, a, b)
+            if not nxt < x:
+                return x
+            if x - nxt <= _SLOT_STEP_TOL * x:
+                return nxt
+            x = nxt
+        raise IterationLimitError(0.0, x, _SLOT_NEWTON_CAP)
+    finally:
+        _COUNTS.newton_steps += steps
 
 
 def _slot_start(h: float, eps_user: float,
@@ -304,7 +369,9 @@ def _solve_slot(h: float, eps_user: float, target: float) -> float:
     solved by monotone Newton (_descend, at most _SLOT_NEWTON_CAP steps) from
     _slot_start: in x for r > 1/2, and in u = r*x, which cannot overflow, otherwise.
     Raises ValidationError when beta lies outside the normal float range.
+    Each call adds one to _COUNTS.slot_solves.
     """
+    _COUNTS.slot_solves += 1
     chord = h * eps_user
     if not target < chord:
         raise InfeasibleRateError("slot", target, chord, "target", "chord")

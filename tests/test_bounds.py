@@ -230,3 +230,16 @@ class TestUnderflow:
         gains, op = LinkGains(1e-300, 1e-300, 1e-300), OperatingPoint(1e12, 1e300)
         with pytest.raises(ValidationError, match="parabola peak share .* underflows"):
             bound(gains, op)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("bound", [ncp_bounds_high_tern, cp_bounds_high_tern])
+    @pytest.mark.parametrize("gains, op", [
+        # the partner's tangent chord is 1e12, but h23*k*eps*(kappa+1) overflows first
+        (LinkGains(1e-300, 1e-300, 1e-300), OperatingPoint(1e12, 1e300)),
+        # every chord overflows
+        (LinkGains(1e300, 1e300, 1e300), OperatingPoint(1e300, 1.0)),
+    ])
+    def test_infinite_chord_rejected_not_nan(self, bound, gains, op):
+        with pytest.raises(ValidationError, match="tangent chords .* must be finite"):
+            bound(gains, op)

@@ -48,6 +48,9 @@ GOLDEN_SCENARIOS = {
     "no_rate": ONES_SCENARIO,
     # the equal-gain parabola's peak share underflows to 0 at every low-TERN pair
     "peak_underflow": {"gains": {"h12": 1e-300, "h13": 1e-300, "h23": 1e-300},
+                       "operating": {"epsilon": 1.0, "k": 1e290}},
+    # the partner's tangent chord is 1e12, but h23*k*eps*(k+1) overflows on the way
+    "chord_overflow": {"gains": {"h12": 1e-300, "h13": 1e-300, "h23": 1e-300},
                        "operating": {"epsilon": 1e12, "k": 1e300}},
     "infeasible": {**PAIR_SCENARIO, "rate": 5.0},
     # pair a passes its bound, 2.5*1.2 = 3.0, but its partner's target 0.2*rate rounds
@@ -128,7 +131,11 @@ GOLDEN = {
     "bounds_peak_underflow": (["bounds"], "peak_underflow", 2,
         "",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "error: low-TERN bound undefined: the parabola peak share at eps=1000000000000.0 underflows to 0\n"),
+        "error: low-TERN bound undefined: the parabola peak share at eps=1.0 underflows to 0\n"),
+    "bounds_chord_overflow": (["bounds"], "chord_overflow", 2,
+        "",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: high-TERN bound undefined: the tangent chords 1000000000000.0 and inf must be finite\n"),
     "missing_rate": (["energy"], "no_rate", 2,
         "",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -12,8 +12,9 @@ from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_
                        feasibility_bound, feasible, grid_values, min_tern, ncp_allocate,
                        resource_usage, sweep)
 from relaygain.cli import main
-from relaygain.errors import (DeadLinkError, InfeasibleRateError, RelayGainError,
-                              ValidationError)
+from relaygain.errors import (DeadLinkError, InfeasibleRateError, IterationLimitError,
+                              NaNResidualError, RelayGainError, ValidationError)
+from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
 
 ONES = LinkGains(1, 1, 1)
 
@@ -287,46 +288,115 @@ class TestMinTernRange:
 class TestSolveCounts:
     """Residual evaluations per min_tern solve, beyond the bracket's two, on the README
     energy sweep: 19.5 measured (bisection took 54.6). The slot makes no bracketed solve:
-    its Newton steps stay within a cap of 12 (6 at most measured)."""
+    its Newton steps stay within a cap of 12 (6 at most measured). Read from the solve
+    counters around each min_tern call and over the README resource sweep."""
 
     def test_min_tern_and_slot_evaluations(self, monkeypatch):
-        counts = {"min_tern": [], "slot": []}
-        solve = energy.solve_monotone
-
-        def counting(f, bracket, **kwargs):
-            calls = counts["min_tern" if bracket.lo == 0.0 else "slot"]
-            calls.append(0)
-
-            def g(x):
-                calls[-1] += 1
-                return f(x)
-            return solve(g, bracket, **kwargs)
-
-        monkeypatch.setattr(energy, "solve_monotone", counting)
-        monkeypatch.setattr(energy, "_SLOT_NEWTON_CAP", 12)
-        slots = []
-        solve_slot = energy._solve_slot
-
-        def counting_slot(*args):
-            slots.append(args)
-            return solve_slot(*args)
-
-        monkeypatch.setattr(energy, "_solve_slot", counting_slot)
-        sweep("energy_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
-                               "k": 1.0, "eta": 3.0, "rate": 0.01})
-        sweep("resource_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
-                                 "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.005})
-        assert {name: len(calls) for name, calls in counts.items()} == {"min_tern": 182, "slot": 0}
-        assert len(slots) == 364
-        calls = counts["min_tern"]
+        calls = []
+        for d in grid_values(0.05, 0.95, 0.01):
+            gains = collinear_gains(d, 3.0)
+            for protocol in Protocol:
+                solves, evals = _COUNTS.solves, _COUNTS.evals
+                min_tern(protocol, gains, 1.0, 0.01)
+                assert _COUNTS.solves - solves == 1
+                calls.append(_COUNTS.evals - evals - 2)
+        assert len(calls) == 182
         assert sum(calls) / len(calls) <= 22
         assert max(calls) <= 3 * energy._SHARE_HALVINGS
+        monkeypatch.setattr(energy, "_SLOT_NEWTON_CAP", 12)
+        solves, slots, steps = _COUNTS.solves, _COUNTS.slot_solves, _COUNTS.newton_steps
+        sweep("resource_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
+                                 "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.005})
+        assert _COUNTS.solves - solves == 0
+        assert _COUNTS.slot_solves - slots == 364
+        assert _COUNTS.newton_steps - steps <= 6 * 364
         # every property draw either solves within the lowered cap or is out of float range
         for h, eps_user, target in slot_draws(2000, seed=17):
             try:
-                solve_slot(h, eps_user, target)
+                energy._solve_slot(h, eps_user, target)
             except ValidationError as exc:
                 assert "float range" in str(exc)
+
+
+def _log_expm1_ratio(x):
+    """ln(expm1(x)/x) for x > 0, finite where expm1 overflows and +inf at x = inf."""
+    if x > 1.0:
+        return energy._log_expm1(x) - math.log(x) if x < math.inf else x
+    if x < 1e-3:
+        return x * (0.5 + x * (1.0 / 24.0 - x * x / 2880.0))
+    return math.log(math.expm1(x) / x)
+
+
+def _outcome(run):
+    """(share as hex, or error class and message; solve and evaluation count deltas)."""
+    solves, evals = _COUNTS.solves, _COUNTS.evals
+    try:
+        result = run().hex()
+    except RelayGainError as exc:
+        result = (type(exc), str(exc))
+    return result, (_COUNTS.solves - solves, _COUNTS.evals - evals)
+
+
+def _crossing_pair(offset, rate, partner_rate, max_iter):
+    """The inlined crossing solve and solve_monotone on the same gap, as outcomes."""
+
+    def gap(b):
+        if b == 0.0:
+            return math.inf
+        if b == 1.0:
+            return -math.inf
+        return offset + _log_expm1_ratio(rate / b) - _log_expm1_ratio(partner_rate / (1.0 - b))
+
+    inline = _outcome(lambda: energy._crossing(offset, rate, partner_rate))
+    reference = _outcome(lambda: solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0), max_iter))
+    return inline, reference
+
+
+def _min_tern_crossing(protocol, gains, k, rate):
+    """The gap offset and the two rates that min_tern hands to its crossing solve."""
+    h_first = gains.h13 if protocol is Protocol.NCP else gains.h12
+    kappa = k if protocol is Protocol.NCP else k + 1.0
+    return math.log(k / kappa) + math.log(gains.h23) - math.log(h_first), rate, kappa * rate
+
+
+class TestInlineMinTernDrift:
+    """energy runs solve_monotone's steps inline; the two copies must not drift."""
+
+    def test_seeded_draws_match_bitwise(self):
+        rng = random.Random(1971)
+        for _ in range(2000):
+            gains = LinkGains(*(math.exp(rng.uniform(-25.0, 25.0)) for _ in range(3)))
+            k, rate = math.exp(rng.uniform(-10.0, 10.0)), math.exp(rng.uniform(-40.0, 9.0))
+            for protocol in Protocol:
+                inline, reference = _crossing_pair(*_min_tern_crossing(protocol, gains, k, rate),
+                                                   3 * energy._SHARE_HALVINGS)
+                assert inline == reference, (protocol, gains, k, rate)
+                assert isinstance(inline[0], str)
+
+    @pytest.mark.parametrize("offset, rate, partner_rate, result", [
+        (0.0, 0.3, 0.3, (0.5).hex()),  # an exact zero of the gap at the first step
+        (0.0, 1e308, 1e308, (NaNResidualError, str(NaNResidualError(0.5)))),
+    ])
+    def test_zero_and_nan_gap_match(self, offset, rate, partner_rate, result):
+        inline, reference = _crossing_pair(offset, rate, partner_rate, 3 * energy._SHARE_HALVINGS)
+        assert inline == reference
+        assert inline == (result, (1, 3))
+
+    @pytest.mark.parametrize("rate, partner_rate", [(1e308, 1.0), (1.0, 1e308)])
+    def test_infinite_argument_of_l_matches(self, rate, partner_rate):
+        # beyond min_tern's rate guard: rate/b or partner_rate/(1-b) overflows at some shares
+        inline, reference = _crossing_pair(0.0, rate, partner_rate, 3 * energy._SHARE_HALVINGS)
+        assert inline == reference
+        assert isinstance(inline[0], str)
+
+    def test_iteration_limit_matches(self, monkeypatch):
+        monkeypatch.setattr(energy, "_SHARE_HALVINGS", 1)
+        for protocol in Protocol:
+            crossing = _min_tern_crossing(protocol, LinkGains(1, 2, 3), 2.0, 0.3)
+            inline, reference = _crossing_pair(*crossing, 3)
+            assert inline == reference
+            assert inline[0][0] is IterationLimitError
+            assert inline[1] == (1, 5)
 
 
 def _log_uniform(rng, lo, hi):
