@@ -41,8 +41,7 @@ within 6e-16 relative for r up to 1/2 and for 1 - r from 1e-11 to 0.02, and
 within 4e-15 in between, where log1p(x)/x - 1 still cancels. A share
 outside the normal float range is a ValidationError. Since x only falls
 from its start, the share at the start bounds the slot from below
-(_slot_bound); resource selection prunes options with it. Each slot solve
-and its Newton steps are counted in rootfind._COUNTS.
+(_slot_bound); resource selection prunes options with it.
 """
 
 from __future__ import annotations
@@ -168,6 +167,8 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
     in the same order, so the share, the errors and the _COUNTS deltas are
     those of solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0),
     3 * _SHARE_HALVINGS). Every evaluated share lies strictly inside (0, 1).
+    L is written out for u and v rather than called: two helper calls per
+    evaluation cost 11% of the energy_dual benchmark's wall time.
     """
     log, log1p, exp, expm1, inf = math.log, math.log1p, math.exp, math.expm1, math.inf
     # the gap falls from +inf at 0, where a share carries no rate at any TERN, to -inf at 1
@@ -294,21 +295,16 @@ def _descend(step, x: float, a: float, b: float = 0.0) -> float:
     iterate stays right of the root and x falls onto it monotonically.
     It stops once x no longer falls, or after a step below _SLOT_STEP_TOL
     of x, since convergence is quadratic. More than _SLOT_NEWTON_CAP steps
-    raise IterationLimitError with the root's bracket (0, x]. The steps
-    taken are added to _COUNTS.newton_steps on every exit.
+    raise IterationLimitError with the root's bracket (0, x].
     """
-    steps = 0
-    try:
-        for steps in range(1, _SLOT_NEWTON_CAP + 1):
-            nxt = x - step(x, a, b)
-            if not nxt < x:
-                return x
-            if x - nxt <= _SLOT_STEP_TOL * x:
-                return nxt
-            x = nxt
-        raise IterationLimitError(0.0, x, _SLOT_NEWTON_CAP)
-    finally:
-        _COUNTS.newton_steps += steps
+    for _ in range(_SLOT_NEWTON_CAP):
+        nxt = x - step(x, a, b)
+        if not nxt < x:
+            return x
+        if x - nxt <= _SLOT_STEP_TOL * x:
+            return nxt
+        x = nxt
+    raise IterationLimitError(0.0, x, _SLOT_NEWTON_CAP)
 
 
 def _slot_start(h: float, eps_user: float,
@@ -369,9 +365,7 @@ def _solve_slot(h: float, eps_user: float, target: float) -> float:
     solved by monotone Newton (_descend, at most _SLOT_NEWTON_CAP steps) from
     _slot_start: in x for r > 1/2, and in u = r*x, which cannot overflow, otherwise.
     Raises ValidationError when beta lies outside the normal float range.
-    Each call adds one to _COUNTS.slot_solves.
     """
-    _COUNTS.slot_solves += 1
     chord = h * eps_user
     if not target < chord:
         raise InfeasibleRateError("slot", target, chord, "target", "chord")

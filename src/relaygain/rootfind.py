@@ -13,7 +13,7 @@ and it stops on adjacent doubles or on an exact zero of f.
 _COUNTS keeps running totals of the solves, counted once per solve: read
 its deltas around a call. allocation (the fair share) and energy (the
 energy dual's crossing share) run the same steps inline and bump the same
-totals; energy also counts its resource slots' Newton solves there.
+totals.
 """
 
 from __future__ import annotations
@@ -25,22 +25,17 @@ from .errors import IterationLimitError, NaNResidualError, NoSignChangeError, Va
 
 
 class _Counts:
-    """Solves started, and the evaluations of f they made, the bracket's two included;
-    resource slot solves, and the Newton steps they made.
+    """Solves started, and the evaluations of f they made, the bracket's two included.
 
     A solve that fails after its bracket counts; a scan that finds no
-    sign change is no solve and counts nothing. Every call of
-    energy._solve_slot counts as a slot solve, an infeasible target
-    included.
+    sign change is no solve and counts nothing.
     """
 
-    __slots__ = ("solves", "evals", "slot_solves", "newton_steps")
+    __slots__ = ("solves", "evals")
 
     def __init__(self):
         self.solves = 0
         self.evals = 0
-        self.slot_solves = 0
-        self.newton_steps = 0
 
 
 _COUNTS = _Counts()

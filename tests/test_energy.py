@@ -288,10 +288,16 @@ class TestMinTernRange:
 class TestSolveCounts:
     """Residual evaluations per min_tern solve, beyond the bracket's two, on the README
     energy sweep: 19.5 measured (bisection took 54.6). The slot makes no bracketed solve:
-    its Newton steps stay within a cap of 12 (6 at most measured). Read from the solve
-    counters around each min_tern call and over the README resource sweep."""
+    its Newton steps stay within a cap of 12 (6 at most measured). min_tern's solves are
+    read from the solve counters, over the sweep and around each of its calls."""
 
     def test_min_tern_and_slot_evaluations(self, monkeypatch):
+        solves, evals = _COUNTS.solves, _COUNTS.evals
+        sweep("energy_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
+                               "k": 1.0, "eta": 3.0, "rate": 0.01})
+        swept = (_COUNTS.solves - solves, _COUNTS.evals - evals)
+        assert swept[0] == 182
+        assert (swept[1] - 2 * 182) / 182 <= 22
         calls = []
         for d in grid_values(0.05, 0.95, 0.01):
             gains = collinear_gains(d, 3.0)
@@ -300,20 +306,27 @@ class TestSolveCounts:
                 min_tern(protocol, gains, 1.0, 0.01)
                 assert _COUNTS.solves - solves == 1
                 calls.append(_COUNTS.evals - evals - 2)
-        assert len(calls) == 182
-        assert sum(calls) / len(calls) <= 22
+        # the same solves as the sweep's, one per point and protocol
+        assert swept == (len(calls), sum(calls) + 2 * len(calls))
         assert max(calls) <= 3 * energy._SHARE_HALVINGS
         monkeypatch.setattr(energy, "_SLOT_NEWTON_CAP", 12)
-        solves, slots, steps = _COUNTS.solves, _COUNTS.slot_solves, _COUNTS.newton_steps
+        slots = []
+        solve_slot = energy._solve_slot
+
+        def counting_slot(*args):
+            slots.append(args)
+            return solve_slot(*args)
+
+        monkeypatch.setattr(energy, "_solve_slot", counting_slot)
+        solves = _COUNTS.solves
         sweep("resource_ratio", {"d_min": 0.05, "d_max": 0.95, "d_step": 0.01,
                                  "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.005})
         assert _COUNTS.solves - solves == 0
-        assert _COUNTS.slot_solves - slots == 364
-        assert _COUNTS.newton_steps - steps <= 6 * 364
+        assert len(slots) == 364
         # every property draw either solves within the lowered cap or is out of float range
         for h, eps_user, target in slot_draws(2000, seed=17):
             try:
-                energy._solve_slot(h, eps_user, target)
+                solve_slot(h, eps_user, target)
             except ValidationError as exc:
                 assert "float range" in str(exc)
 
