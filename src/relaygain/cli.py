@@ -10,9 +10,11 @@ floats print with 12 significant digits, CSV uses UNIX line endings and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
+import stat
 import sys
 from importlib import import_module
 
@@ -31,8 +33,7 @@ EXIT_IO = 4
 # are bound here on first use: by main() before it dispatches a subcommand
 # that needs them, or by an attribute access such as `relaygain.cli.sweep`.
 # A name bound already keeps its value, so a wrapper set here stays in place.
-# `sweep` is no longer called here (cmd_sweep streams through iter_sweep) but
-# stays bound for code that reads `relaygain.cli.sweep`.
+# `sweep` is bound for bench/spans.py's hook until ROADMAP item 9 replaces it.
 _LAZY = {
     "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
                "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
@@ -201,6 +202,62 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _staged_target(out: str):
+    """(the path a finished sweep replaces, its mode or None), or None to write to `out`.
+
+    Rows are staged beside a regular file or a name that does not exist
+    yet, through a symlink to its target. Anything else, a directory, a
+    device, a pipe or a path that cannot be examined, is opened as given.
+    """
+    if not os.path.basename(out):
+        return None
+    try:
+        st = os.lstat(out)
+        if stat.S_ISLNK(st.st_mode):
+            out = os.path.realpath(out)
+            st = os.stat(out)
+    except FileNotFoundError:
+        return out, None
+    except OSError:
+        return None
+    return (out, stat.S_IMODE(st.st_mode)) if stat.S_ISREG(st.st_mode) else None
+
+
+@contextlib.contextmanager
+def _open_out(out: str):
+    """A text handle for --out's new contents, which replace a regular --out only on success.
+
+    Rows go to a sibling `.NAME.PID.part` file, created with open() rather
+    than mkstemp so that a new CSV gets the mode the umask gives, and given
+    the mode of the file it replaces. It replaces --out when the block ends
+    and is removed if the block raises, so a failing sweep leaves a regular
+    or absent --out as it was. A device or a pipe, or a directory that refuses
+    the sibling, is written directly, as `open(out, "w")`.
+    """
+    staged = _staged_target(out)
+    if staged is not None:
+        target, mode = staged
+        head, name = os.path.split(target)
+        partial = os.path.join(head, f".{name}.{os.getpid()}.part")
+        try:
+            handle = open(partial, "x", encoding="utf-8", newline="")
+        except OSError:
+            staged = None
+    if staged is None:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        return
+    try:
+        with handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
+            yield handle
+        os.replace(partial, target)
+    except BaseException:
+        os.remove(partial)
+        raise
+
+
 # Sweep records are formatted a chunk at a time, not one by one between two
 # solves, so that formatting runs as one warm loop. In process, on a README
 # collinear sweep, that cut the time added over formatting the whole list at
@@ -212,49 +269,27 @@ _CSV_CHUNK = 256
 def cmd_sweep(args) -> int:
     """Write the sweep's CSV to --out as its rows are solved, a chunk at a time.
 
-    Every input is checked before a file is opened. The rows go to a
-    sibling file that replaces --out after the last row, so a sweep that
-    fails anywhere leaves --out as it was.
+    Every input is checked before a file is opened, and a failing sweep
+    leaves a regular or absent --out as it was (see _open_out).
     """
     params = {name: getattr(args, name) for name in SWEEP_PARAMETERS
               if getattr(args, name) is not None}
     records = iter_sweep(args.kind, params)
     columns = sweep_columns(args.kind)
-    if not os.path.basename(args.out) or os.path.isdir(args.out):
-        # a directory, or a name that ends in a separator: this open fails,
-        # with the error writing to --out always gave
-        open(args.out, "w").close()
-    # through a symlink to its target, as writing to --out itself did
-    out = os.path.realpath(args.out)
-    head, name = os.path.split(out)
-    partial = os.path.join(head, f".{name}.{os.getpid()}.part")
-    try:
-        # open() rather than mkstemp: the CSV keeps the mode the umask gives
-        handle = open(partial, "x", encoding="utf-8", newline="")
-    except FileExistsError:
-        raise  # a partial file that another run left: named as it is
-    except OSError as exc:
-        # the directory refused the file: name --out, as opening it did
-        raise OSError(exc.errno, exc.strerror, args.out) from None
-    try:
-        with handle:
-            handle.write(",".join(columns) + "\n")
+    with _open_out(args.out) as handle:
+        handle.write(",".join(columns) + "\n")
+        chunk = list(itertools.islice(records, _CSV_CHUNK))
+        # columns: coordinates, value, extras, feasible, degenerate; a grid
+        # has two points at least
+        extra_names = columns[len(chunk[0].coords) + 1:-2]
+        while chunk:
+            # no cell needs CSV quoting: a cell is a number, empty, true or
+            # false, and every column name is an identifier
+            handle.writelines([
+                f"{_csv_cells((*rec.coords, rec.gain, *map(rec.extra.get, extra_names)))}"
+                f",{_fmt(rec.feasible)},{_fmt(rec.degenerate)}\n"
+                for rec in chunk])
             chunk = list(itertools.islice(records, _CSV_CHUNK))
-            # columns: coordinates, value, extras, feasible, degenerate; a
-            # grid has two points at least
-            extra_names = columns[len(chunk[0].coords) + 1:-2]
-            while chunk:
-                # no cell needs CSV quoting: a cell is a number, empty, true
-                # or false, and every column name is an identifier
-                handle.writelines([
-                    f"{_csv_cells((*rec.coords, rec.gain, *map(rec.extra.get, extra_names)))}"
-                    f",{_fmt(rec.feasible)},{_fmt(rec.degenerate)}\n"
-                    for rec in chunk])
-                chunk = list(itertools.islice(records, _CSV_CHUNK))
-        os.replace(partial, out)
-    except BaseException:
-        os.remove(partial)
-        raise
     return EXIT_OK
 
 

@@ -261,9 +261,12 @@ def iter_sweep(kind: str, params: Mapping[str, float]) -> Iterator[SweepRecord]:
     fixed = {name: _check_positive(name, params[name]) for name in spec.fixed}
     # one operating point per sweep, or one per point where k is the axis
     op = OperatingPoint(fixed["epsilon"], fixed["k"]) if {"epsilon", "k"} <= fixed.keys() else None
-    # the values each parameter takes, in grid order: its grid or its fixed value
-    values = {**{name: (value,) for name, value in fixed.items()}, **dict(zip(spec.axes, grids))}
-    for d in values.get("d", ()):
+    # the values d takes, in grid order: its grid or its fixed value
+    if "d" in spec.axes:
+        ds = grids[spec.axes.index("d")]
+    else:
+        ds = (fixed["d"],) if "d" in fixed else ()
+    for d in ds:
         if not 0.0 < d < 1.0:
             raise ValidationError(f"d must lie in (0, 1), got {d!r}")
     return _walk(spec, grids, fixed, op)

@@ -3,8 +3,10 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -450,6 +452,11 @@ CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
 CSV_CELLS = st.one_of(CSV_FLOATS, st.none(), st.booleans())
 
 
+# a four-point collinear sweep, without --out
+SMALL_SWEEP = ["sweep", "--kind", "collinear_gain", "--d-min", "0.2", "--d-max", "0.8",
+               "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "2"]
+
+
 class TestSweepCommand:
     def test_csv_shape_and_values(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -547,6 +554,41 @@ class TestSweepCommand:
         rows = len(out.read_bytes().splitlines()) - 1
         assert rows == 101 * 76
         assert peak < 150 * rows
+
+    def test_out_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "private.csv"
+        out.write_bytes(b"old\n")
+        out.chmod(0o600)
+        assert main([*SMALL_SWEEP, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_text().startswith("d,gain,")
+
+    def test_fifo_out_is_written_and_stays_a_fifo(self, tmp_path):
+        expected = tmp_path / "expected.csv"
+        assert main([*SMALL_SWEEP, "--out", str(expected)]) == 0
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main([*SMALL_SWEEP, "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert received == [expected.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["expected.csv", "pipe.csv"]
+
+    def test_dev_null_out_exits_0_and_stays_a_device(self):
+        assert main([*SMALL_SWEEP, "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_dev_stdout_out_writes_the_csv(self, tmp_path):
+        expected = tmp_path / "expected.csv"
+        assert main([*SMALL_SWEEP, "--out", str(expected)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "relaygain.cli", *SMALL_SWEEP,
+                               "--out", "/dev/stdout"], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.read_bytes()
 
 
 class TestVerifyCommand:
