@@ -115,26 +115,35 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
         _COUNTS.evals += n + 2
 
 
-def _allocate(protocol: Protocol, h_first: float, h23: float, op: OperatingPoint) -> Allocation:
-    eps, k = op.epsilon, op.k
-    kappa = k if protocol is Protocol.NCP else k + 1.0
+def _rates(kappa: float, h_first: float, h23: float, eps: float, k: float) -> tuple[float, float]:
+    """(beta, base_rate) of the share residual with this kappa and h_first, from raw floats.
+
+    The core of both allocators and of the rate sweeps: it checks nothing,
+    so a caller passes live gains and a valid operating point. beta lies
+    in [_BETA_LO, _BETA_HI] and base_rate is >= 0, so the checks of an
+    Allocation, which the sweeps do not build, always pass.
+    """
     chord1 = h_first * eps
     beta = _share(kappa, chord1, h23 * k * eps)
-    base_rate = beta * math.log1p(chord1 / beta)
-    rate2 = k * base_rate
-    return Allocation(protocol, beta, base_rate, rate2, base_rate + rate2)
+    return beta, beta * math.log1p(chord1 / beta)
 
 
 def ncp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     """Optimal NCP allocation; both users transmit directly to the destination."""
     gains.require_alive("h13", "h23")
-    return _allocate(Protocol.NCP, gains.h13, gains.h23, op)
+    eps, k = op.epsilon, op.k
+    beta, base_rate = _rates(k, gains.h13, gains.h23, eps, k)
+    rate2 = k * base_rate
+    return Allocation(Protocol.NCP, beta, base_rate, rate2, base_rate + rate2)
 
 
 def cp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     """Optimal CP allocation; the partner re-encodes and forwards both messages."""
     gains.require_alive("h12", "h23")
-    return _allocate(Protocol.CP, gains.h12, gains.h23, op)
+    eps, k = op.epsilon, op.k
+    beta, base_rate = _rates(k + 1.0, gains.h12, gains.h23, eps, k)
+    rate2 = k * base_rate
+    return Allocation(Protocol.CP, beta, base_rate, rate2, base_rate + rate2)
 
 
 def collaboration_gain(gains: LinkGains, op: OperatingPoint) -> GainReport:

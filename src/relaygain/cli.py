@@ -38,7 +38,7 @@ _LAZY = {
     "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
                "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
     "geometry": ("iter_sweep", "max_geometric_gain", "optimal_relay_location", "sweep",
-                 "sweep_columns"),
+                 "sweep_columns", "sweep_rows"),
     "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
     "verify": ("run_suite",),
 }
@@ -75,16 +75,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_cells(values: tuple) -> str:
-    """The cells of `values` as one CSV line: ",".join(map(_fmt, values)).
+def _csv_lines(rows: list[tuple], width: int) -> list[str]:
+    """Each sweep row of `width` cells as one CSV line: ",".join(map(_fmt, row)) + "\n".
 
-    A row of floats only is one %-format: '%.12g' % v equals
-    format(v, ".12g") for every float, but it prints a bool as 1 and
-    rejects None, so any other row takes _fmt per value.
+    The last two cells of a row are its feasible and degenerate flags. A
+    feasible, non-degenerate row of floats is one %-format of the kind's
+    template: '%.12g' % v equals format(v, ".12g") for every float, but it
+    prints a bool as 1 and rejects None, so any other row takes _fmt per
+    cell. No cell needs CSV quoting: a cell is a number, empty, true or
+    false.
     """
-    if all(type(value) is float for value in values):
-        return ("%.12g," * len(values))[:-1] % values
-    return ",".join(map(_fmt, values))
+    n = width - 2
+    template, floats = "%.12g," * n + "true,false\n", (float,) * n
+    return [template % row[:n]
+            if row[-1] is False and row[-2] is True and all(map(isinstance, row, floats))
+            else ",".join(map(_fmt, row)) + "\n"
+            for row in rows]
 
 
 def _row(fields: dict, label: str = "", width: int = 4) -> str:
@@ -258,9 +264,9 @@ def _open_out(out: str):
         raise
 
 
-# Sweep records are formatted a chunk at a time, not one by one between two
+# Sweep rows are formatted a chunk at a time, not one by one between two
 # solves, so that formatting runs as one warm loop. In process, on a README
-# collinear sweep, that cut the time added over formatting the whole list at
+# collinear sweep, that cut the time added over formatting the whole grid at
 # the end from 0.56 to 0.15 ms (medians of 150 alternations). A chunk holds
 # about 0.1 MB.
 _CSV_CHUNK = 256
@@ -269,27 +275,22 @@ _CSV_CHUNK = 256
 def cmd_sweep(args) -> int:
     """Write the sweep's CSV to --out as its rows are solved, a chunk at a time.
 
-    Every input is checked before a file is opened, and a failing sweep
-    leaves a regular or absent --out as it was (see _open_out).
+    The rows of sweep_rows go to the file as they come, with no record
+    built for them. Every input is checked before a file is opened, and a
+    failing sweep leaves a regular or absent --out as it was (see
+    _open_out).
     """
     params = {name: getattr(args, name) for name in SWEEP_PARAMETERS
               if getattr(args, name) is not None}
-    records = iter_sweep(args.kind, params)
+    rows = sweep_rows(args.kind, params)
     columns = sweep_columns(args.kind)
     with _open_out(args.out) as handle:
+        # every column name is an identifier
         handle.write(",".join(columns) + "\n")
-        chunk = list(itertools.islice(records, _CSV_CHUNK))
-        # columns: coordinates, value, extras, feasible, degenerate; a grid
-        # has two points at least
-        extra_names = columns[len(chunk[0].coords) + 1:-2]
+        chunk = list(itertools.islice(rows, _CSV_CHUNK))
         while chunk:
-            # no cell needs CSV quoting: a cell is a number, empty, true or
-            # false, and every column name is an identifier
-            handle.writelines([
-                f"{_csv_cells((*rec.coords, rec.gain, *map(rec.extra.get, extra_names)))}"
-                f",{_fmt(rec.feasible)},{_fmt(rec.degenerate)}\n"
-                for rec in chunk])
-            chunk = list(itertools.islice(records, _CSV_CHUNK))
+            handle.writelines(_csv_lines(chunk, len(columns)))
+            chunk = list(itertools.islice(rows, _CSV_CHUNK))
     return EXIT_OK
 
 

@@ -7,17 +7,17 @@ low-TERN collaboration gain over d is (1 + (k/(k+1))^(1/eta))^eta,
 attained at d* = 1/(1 + (k/(k+1))^(1/eta)).
 
 Each sweep kind is one table entry: grid axes, fixed parameters, a point
-evaluator (rate, resource or energy) and its CSV columns. iter_sweep()
+evaluator (rate, resource or energy) and its CSV columns. sweep_rows()
 checks every input when it is called and returns a generator whose one
 loop walks the cartesian grid in row-major order (first axis outer),
-yielding each record as it is solved; sweep() is its list. For every
-kind the loop flags a point degenerate, without evaluating it, when the
-relay sits on an endpoint or a gain exceeds OVERFLOW_GAIN. Symmetric ranges
-are mirrored exactly so that records at (x, y) and (x, -y) are bitwise
-identical. Repeated points, mirrored rows included, are solved once per
-sweep: a repeat copies the record of its first occurrence. The NCP share
-reads only the direct links, so a rate sweep solves it once per
-(h13, h23) and operating point, however many relay positions share them.
+yielding each row, a flat tuple in CSV column order, as it is solved;
+iter_sweep() makes a SweepRecord of each row and sweep() is their list.
+For every kind the loop flags a point degenerate, without evaluating it,
+when the relay sits on an endpoint or a gain exceeds OVERFLOW_GAIN.
+Symmetric ranges are mirrored exactly so that rows at (x, y) and (x, -y)
+are bitwise identical. Repeated points of a row, mirrored ones included,
+are solved once. The NCP share reads only the direct links, so a rate
+sweep solves it once per (h23, k).
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .allocation import cp_allocate, ncp_allocate
+from .allocation import _rates
+# unused here; bench/spans.py hooks the allocators where this module binds them
+from .allocation import cp_allocate, ncp_allocate  # noqa: F401
 from .energy import feasible, min_tern, resource_usage
 from .errors import GeometryError, ValidationError
 from .model import LinkGains, OperatingPoint, Protocol, _check_finite, _check_positive
@@ -133,62 +135,98 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
-def _point_gains(p: Mapping[str, float]) -> tuple[float, float] | None:
-    """(h12, h23) at a sweep point, or None where the point is degenerate;
-    h13 is 1 in every sweep geometry.
+def _points(b12s, b23s, power: float, ks) -> list[tuple[float, float, float] | None]:
+    """(h12, h23, k) per point, h_ij = b_ij ** -power, or None where the
+    point is degenerate; h13 is 1 in every sweep geometry."""
+    points, neg = [], -power
+    for b12, b23, k in zip(b12s, b23s, ks):
+        try:
+            h12, h23 = b12 ** neg, b23 ** neg
+        except (ZeroDivisionError, OverflowError):
+            # the relay on an endpoint (a zero base), or a gain past the float range
+            points.append(None)
+            continue
+        points.append(None if h12 > OVERFLOW_GAIN or h23 > OVERFLOW_GAIN else (h12, h23, k))
+    return points
+
+
+def _gain_rows(axes: tuple[str, ...], grids: list[list[float]], fixed: dict):
+    """Per row of the inner axis: the outer coordinates, the inner values and
+    their points (see _points), each axis term computed once.
 
     Plane gains raise squared distances to -eta/2: going through hypot
     would move some plane CSV values in the last printed digit. The sweep
-    has already checked its inputs, d in (0, 1) included, so nothing is
-    checked here.
+    has already checked its inputs.
     """
-    if "d" in p:
-        d, eta = p["d"], p["eta"]
-        h12, h23 = d ** -eta, (1.0 - d) ** -eta
-    else:
-        x, y, half = p["x"], p["y"], p["eta"] / 2.0
-        d12_sq = (x + 0.5) ** 2 + y * y
-        d23_sq = (x - 0.5) ** 2 + y * y
-        if d12_sq == 0.0 or d23_sq == 0.0:
-            return None
-        h12, h23 = d12_sq ** -half, d23_sq ** -half
-    if h12 > OVERFLOW_GAIN or h23 > OVERFLOW_GAIN:
-        return None
-    return h12, h23
+    eta, k = fixed["eta"], fixed.get("k")
+    if axes == ("x", "y"):
+        xs, ys = grids
+        yys = [y * y for y in ys]
+        for x in xs:
+            s12, s23 = (x + 0.5) ** 2, (x - 0.5) ** 2
+            yield ((x,), ys, _points([s12 + v for v in yys], [s23 + v for v in yys], eta / 2.0,
+                                     itertools.repeat(k)))
+        return
+    values = grids[0]
+    ds = values if axes == ("d",) else [fixed["d"]] * len(values)
+    ks = values if axes == ("k",) else itertools.repeat(k)
+    yield (), values, _points(ds, [1.0 - d for d in ds], eta, ks)
 
 
-# Point evaluators return the headline value (None when the demand is
-# infeasible) and the extra values by column name; the walk puts h12 and
-# h23 in front where the kind lists them. The rate evaluator reads and
-# fills the sweep's NCP table: per (h13, eps, k), (beta, base_rate) by h23.
+def _check_plane(xs: list[float], ys: list[float], eta: float) -> None:
+    """Reject the first plane point, in row-major order, whose squared
+    distance to an endpoint is not finite or whose gain underflows to 0.
+    A gain falls as y*y grows, so a row is searched only when its point of
+    largest y*y fails.
+    """
+    power = -eta / 2.0
 
-def _rate_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float], ncp_table: dict):
-    shares = ncp_table.setdefault((gains.h13, op.epsilon, op.k), {})
-    ncp = shares.get(gains.h23)
+    def lost(s: float) -> bool:  # inf ** power is 0.0 too
+        return s > 1.0 and s ** power == 0.0
+
+    yys = [y * y for y in ys]
+    far = max(yys)
+    for x in xs:
+        try:
+            s12, s23 = (x + 0.5) ** 2, (x - 0.5) ** 2
+        except OverflowError:
+            s12 = s23 = math.inf
+        if lost(s12 + far) or lost(s23 + far):
+            y = next(y for y, v in zip(ys, yys) if lost(s12 + v) or lost(s23 + v))
+            raise ValidationError(f"plane point (x={x!r}, y={y!r}) lies too far from an endpoint: "
+                                  f"its squared distance overflows or its gain underflows to 0")
+
+
+# Point evaluators take a point's h12, h23 and k, the fixed parameters and
+# the sweep's NCP table (per k, (beta, base_rate) by h23), and return the
+# value (None when infeasible), then the extras after h12 and h23, None
+# where absent.
+
+def _rate_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
+    eps, shares = fixed["epsilon"], ncp_table.setdefault(k, {})
+    ncp = shares.get(h23)
     if ncp is None:
-        solved = ncp_allocate(gains, op)
-        ncp = shares[gains.h23] = (solved.beta, solved.base_rate)
-    beta_ncp, rate_ncp = ncp
-    cp = cp_allocate(gains, op)
-    return cp.base_rate / rate_ncp, {"beta_ncp": beta_ncp, "beta_cp": cp.beta,
-                                     "rate_ncp": rate_ncp, "rate_cp": cp.base_rate}
+        ncp = shares[h23] = _rates(k, 1.0, h23, eps, k)
+    beta_cp, rate_cp = _rates(k + 1.0, h12, h23, eps, k)
+    return rate_cp / ncp[1], ncp[0], beta_cp, ncp[1], rate_cp
 
 
-def _resource_point(gains: LinkGains, op: OperatingPoint, p: Mapping[str, float],
-                    ncp_table: dict):
-    named = {"ncp_feasible": feasible(Protocol.NCP, gains, op, p["rate"]),
-             "cp_feasible": feasible(Protocol.CP, gains, op, p["rate"])}
-    if not (named["ncp_feasible"] and named["cp_feasible"]):
-        return None, named
-    total_ncp = resource_usage(Protocol.NCP, gains, op, p["rate"]).total
-    total_cp = resource_usage(Protocol.CP, gains, op, p["rate"]).total
-    return total_ncp / total_cp, {**named, "total_ncp": total_ncp, "total_cp": total_cp}
+def _resource_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
+    gains, op, rate = LinkGains(h12, 1.0, h23), OperatingPoint(fixed["epsilon"], k), fixed["rate"]
+    ncp_ok = feasible(Protocol.NCP, gains, op, rate)
+    cp_ok = feasible(Protocol.CP, gains, op, rate)
+    if not (ncp_ok and cp_ok):
+        return None, ncp_ok, cp_ok, None, None
+    total_ncp = resource_usage(Protocol.NCP, gains, op, rate).total
+    total_cp = resource_usage(Protocol.CP, gains, op, rate).total
+    return total_ncp / total_cp, ncp_ok, cp_ok, total_ncp, total_cp
 
 
-def _energy_point(gains: LinkGains, op: None, p: Mapping[str, float], ncp_table: dict):
-    eps_ncp = min_tern(Protocol.NCP, gains, p["k"], p["rate"]).epsilon_min
-    eps_cp = min_tern(Protocol.CP, gains, p["k"], p["rate"]).epsilon_min
-    return eps_ncp / eps_cp, {"eps_ncp": eps_ncp, "eps_cp": eps_cp}
+def _energy_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
+    gains, rate = LinkGains(h12, 1.0, h23), fixed["rate"]
+    eps_ncp = min_tern(Protocol.NCP, gains, k, rate).epsilon_min
+    eps_cp = min_tern(Protocol.CP, gains, k, rate).epsilon_min
+    return eps_ncp / eps_cp, eps_ncp, eps_cp
 
 
 class _Kind(NamedTuple):
@@ -230,21 +268,21 @@ def sweep_columns(kind: str) -> list[str]:
     return [*spec.axes, spec.value, *spec.extras, "feasible", "degenerate"]
 
 
-def iter_sweep(kind: str, params: Mapping[str, float]) -> Iterator[SweepRecord]:
-    """Check one sweep of a kind in SWEEP_KINDS, then stream its grid records.
+def sweep_rows(kind: str, params: Mapping[str, float]) -> Iterator[tuple]:
+    """Check one sweep of a kind in SWEEP_KINDS, then stream its grid rows.
 
     Every input is checked here, when the function is called: the kind,
     missing or unknown parameters, each axis grid, the fixed parameters
-    (positive), and d in (0, 1) wherever a point reads it, as an axis or
-    fixed. The returned generator yields one SweepRecord per grid point
-    in row-major order, as the point is solved, and holds no earlier
-    record; an error it raises comes from a solver.
+    (positive), d in (0, 1) and k > 0 wherever a point reads them, and the
+    plane's distances (_check_plane). The returned generator yields one row
+    per grid point in row-major order, as the point is solved, and holds no
+    earlier row; an error it raises comes from a solver.
 
-    A point whose gains and k equal those of a point already solved in its
-    row of the inner axis copies that point's value and extras: an axis sets
-    only the gains or k (the operating point is built from k), so every
-    other input an evaluator reads is fixed. Rate kinds also share each NCP
-    share across the whole sweep, keyed on the floats it reads.
+    A row is a flat tuple in the order of sweep_columns(kind), None where
+    a cell is empty; a degenerate row is empty but for its coordinates and
+    is flagged feasible. A point whose gains and k equal those of a point
+    already solved in its row repeats that point's cells: an axis sets only
+    the gains or k, so every other input an evaluator reads is fixed.
     """
     if kind not in _KINDS:
         raise ValidationError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
@@ -259,44 +297,51 @@ def iter_sweep(kind: str, params: Mapping[str, float]) -> Iterator[SweepRecord]:
     grids = [grid_values(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
              for a in spec.axes]
     fixed = {name: _check_positive(name, params[name]) for name in spec.fixed}
-    # one operating point per sweep, or one per point where k is the axis
-    op = OperatingPoint(fixed["epsilon"], fixed["k"]) if {"epsilon", "k"} <= fixed.keys() else None
+    axis = dict(zip(spec.axes, grids))
     # the values d takes, in grid order: its grid or its fixed value
-    if "d" in spec.axes:
-        ds = grids[spec.axes.index("d")]
-    else:
-        ds = (fixed["d"],) if "d" in fixed else ()
-    for d in ds:
+    for d in axis.get("d", (fixed["d"],) if "d" in fixed else ()):
         if not 0.0 < d < 1.0:
             raise ValidationError(f"d must lie in (0, 1), got {d!r}")
-    return _walk(spec, grids, fixed, op)
+    for k in axis.get("k", ()):
+        _check_positive("k", k)
+    if "x" in axis:
+        _check_plane(axis["x"], axis["y"], fixed["eta"])
+    return _walk(spec, grids, fixed)
 
 
-def _walk(spec: _Kind, grids: list[list[float]], fixed: dict, op: OperatingPoint | None):
-    """The records of iter_sweep's checked grid, one per point."""
-    p = dict(fixed)
-    solved, row, ncp_table = {}, None, {}
-    for coords in itertools.product(*grids):
-        if coords[:-1] != row:
-            solved, row = {}, coords[:-1]
-        p.update(zip(spec.axes, coords))
-        h = _point_gains(p)
-        if h is None:
-            yield SweepRecord(coords, None, {}, degenerate=True)
-            continue
-        key = (*h, p["k"])
-        solution = solved.get(key)
-        if solution is None:
-            if "k" in spec.axes:
-                op = OperatingPoint(p["epsilon"], p["k"])
-            solution = solved[key] = spec.evaluate(LinkGains(h[0], 1.0, h[1]), op, p, ncp_table)
-        value, extra = solution
-        # a repeat gets its own copy of the extras
-        if "h12" in spec.extras:
-            extra = {"h12": h[0], "h23": h[1], **extra}
-        else:
-            extra = dict(extra)
-        yield SweepRecord(coords, value, extra, value is not None)
+def _walk(spec: _Kind, grids: list[list[float]], fixed: dict) -> Iterator[tuple]:
+    """The rows of sweep_rows' checked grid, one per point."""
+    evaluate, listed = spec.evaluate, "h12" in spec.extras
+    degenerate = (None,) * (1 + len(spec.extras)) + (True, True)
+    ncp_table = {}
+    for prefix, inner, points in _gain_rows(spec.axes, grids, fixed):
+        solved = {}
+        for c, point in zip(inner, points):
+            if point is None:
+                yield (*prefix, c, *degenerate)
+                continue
+            cells = solved.get(point)
+            if cells is None:
+                value, *rest = evaluate(*point, fixed, ncp_table)
+                if listed:
+                    rest = (*point[:2], *rest)
+                cells = solved[point] = (value, *rest, value is not None, False)
+            yield (*prefix, c, *cells)
+
+
+def iter_sweep(kind: str, params: Mapping[str, float]) -> Iterator[SweepRecord]:
+    """The rows of sweep_rows(kind, params), checked at call time, as records.
+
+    A record's extra dict holds its row's non-empty extras by column name:
+    {} for a degenerate row, no totals for an infeasible resource_ratio row.
+    """
+    rows = sweep_rows(kind, params)
+    spec = _KINDS[kind]
+    n = len(spec.axes)
+    return (SweepRecord(row[:n], row[n],
+                        {name: v for name, v in zip(spec.extras, row[n + 1:-2]) if v is not None},
+                        row[-2], row[-1])
+            for row in rows)
 
 
 def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:

@@ -253,7 +253,7 @@ def _share_pair(protocol, gains, op, max_iter):
     def residual(b):
         return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
 
-    inline = _outcome(lambda: allocation._allocate(protocol, h_first, gains.h23, op).beta)
+    inline = _outcome(lambda: allocation._rates(kappa, h_first, gains.h23, eps, k)[0])
     reference = _outcome(lambda: solve_monotone(
         residual, Bracket.scan(residual, allocation._BETA_LO, allocation._BETA_HI), max_iter))
     return inline, reference
@@ -291,6 +291,33 @@ class TestInlineShareDrift:
             assert inline == reference
             assert inline[0][0] is IterationLimitError
             assert inline[1] == (1, 6)
+
+
+def _bits(run):
+    """The floats run() returns, as hex, or the class and message of the error it raises."""
+    try:
+        return tuple(value.hex() for value in run())
+    except RelayGainError as exc:
+        return type(exc), str(exc)
+
+
+class TestRatesCore:
+    def test_seeded_draws_match_the_allocators_bitwise(self):
+        """The raw-float core the rate sweeps call gives the allocators' beta and
+        base_rate bits, and raises as they do, over 2,000 seeded draws."""
+        rng = random.Random(1923)
+        solved = 0
+        for _ in range(2000):
+            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
+            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            eps, k = op.epsilon, op.k
+            for allocate, kappa, h_first in ((ncp_allocate, k, gains.h13),
+                                             (cp_allocate, k + 1.0, gains.h12)):
+                core = _bits(lambda: allocation._rates(kappa, h_first, gains.h23, eps, k))
+                public = _bits(lambda: allocate(gains, op)[1:3])
+                assert core == public, (allocate.__name__, gains, op)
+                solved += isinstance(core[0], str)
+        assert solved >= 3900
 
 
 # The README's rate sweeps, the stride of rows checked in each and the

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relaygain.cli import _csv_cells, _fmt, main
+from relaygain.cli import _csv_lines, _fmt, main
 from relaygain.errors import ValidationError
 from relaygain.geometry import iter_sweep
 
@@ -450,6 +450,8 @@ CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
     (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
      -1e300, math.inf, -math.inf, math.nan)))
 CSV_CELLS = st.one_of(CSV_FLOATS, st.none(), st.booleans())
+# a sweep row's feasible and degenerate flags, mostly the template's (True, False)
+CSV_FLAGS = st.one_of(st.just([True, False]), st.lists(CSV_CELLS, min_size=2, max_size=2))
 
 
 # a four-point collinear sweep, without --out
@@ -472,10 +474,20 @@ class TestSweepCommand:
         assert first[-2:] == ["true", "false"]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.lists(CSV_FLOATS, max_size=12), st.lists(CSV_CELLS, max_size=12)))
-    @example([0.5, True, -0.0, False])
-    def test_csv_cells_match_per_value_format(self, row):
-        assert _csv_cells(tuple(row)) == ",".join(map(_fmt, row))
+    @given(st.one_of(st.lists(CSV_FLOATS, max_size=12), st.lists(CSV_CELLS, max_size=12)),
+           CSV_FLAGS)
+    @example([0.5, True, -0.0, False], [True, False])
+    @example([0.5, None, 1.0], [True, False])
+    @example([0.5, 1.0], [True, True])
+    def test_csv_cells_match_per_value_format(self, cells, flags):
+        row = (*cells, *flags)
+        assert _csv_lines([row], len(row)) == [",".join(map(_fmt, row)) + "\n"]
+
+    def test_resource_row_flags_never_reach_the_template(self):
+        # a feasible resource row: ncp_feasible and cp_feasible are bools
+        # among floats, which '%.12g' would print as 1
+        row = (0.5, 1.25, 8.0, 8.0, True, True, 0.75, 0.6, True, False)
+        assert _csv_lines([row], len(row)) == ["0.5,1.25,8,8,true,true,0.75,0.6,true,false\n"]
 
     def test_csv_deterministic_across_runs(self, tmp_path):
         args = ["sweep", "--kind", "plane_gain", "--x-min", "-0.4", "--x-max", "0.4",

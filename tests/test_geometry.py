@@ -7,10 +7,11 @@ import re
 import pytest
 
 import relaygain.geometry as geometry
-from relaygain import (LinkGains, OperatingPoint, Placement, collaboration_gain,
-                       collinear_gains, gains_from_placement, grid_values,
-                       low_tern_gain_limit, max_geometric_gain,
-                       optimal_relay_location, sweep, sweep_columns)
+from relaygain import (LinkGains, OperatingPoint, Placement, Protocol, collaboration_gain,
+                       collinear_gains, cp_allocate, feasible, gains_from_placement,
+                       grid_values, low_tern_gain_limit, max_geometric_gain, min_tern,
+                       ncp_allocate, optimal_relay_location, resource_usage, sweep,
+                       sweep_columns)
 from relaygain.cli import main
 from relaygain.errors import GeometryError, ValidationError
 from relaygain.verify import collinear_grid_peak
@@ -112,35 +113,65 @@ class TestGridValues:
 
 
 def count_allocations(monkeypatch):
-    """Count the calls the sweep engine makes to each share solver, by name."""
+    """Count the share solves the sweep engine makes per protocol, through the
+    one allocation core it calls: kappa is k for NCP and k + 1 for CP."""
     calls = collections.Counter()
-    for name in ("ncp_allocate", "cp_allocate"):
-        def counting(*args, _solve=getattr(geometry, name), _name=name):
-            calls[_name] += 1
-            return _solve(*args)
-        monkeypatch.setattr(geometry, name, counting)
+
+    def counting(kappa, h_first, h23, eps, k, _solve=geometry._rates):
+        calls["ncp" if kappa == k else "cp"] += 1
+        return _solve(kappa, h_first, h23, eps, k)
+
+    monkeypatch.setattr(geometry, "_rates", counting)
     return calls
 
 
+def plane_gains(x, y, eta):
+    """(h12, h23) of a plane relay from squared distances, as the sweeps take
+    them (hypot would move some last printed digits); inf on an endpoint."""
+    d12_sq, d23_sq = (x + 0.5) ** 2 + y * y, (x - 0.5) ** 2 + y * y
+    if d12_sq == 0.0 or d23_sq == 0.0:
+        return math.inf, math.inf
+    return d12_sq ** -(eta / 2.0), d23_sq ** -(eta / 2.0)
+
+
 def unmemoized_sweep(kind, params):
-    """sweep() as it evaluates every grid point, from its own parts: the
-    reference its reuse of repeated points and NCP shares must match exactly."""
+    """sweep() from the public functions, every grid point solved afresh: the
+    reference that the raw-float walk, its reuse of repeated points and its
+    NCP table must match bitwise."""
     spec = geometry._KINDS[kind]
     grids = [grid_values(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
              for a in spec.axes]
     records, inputs = [], []
     for coords in itertools.product(*grids):
         p = {**{name: params[name] for name in spec.fixed}, **dict(zip(spec.axes, coords))}
-        h = geometry._point_gains(p)
-        if h is None:
+        if "d" in p:
+            h12, h23 = collinear_gains(p["d"], p["eta"])[::2]
+        else:
+            h12, h23 = plane_gains(p["x"], p["y"], p["eta"])
+        if max(h12, h23) > geometry.OVERFLOW_GAIN:
             records.append(geometry.SweepRecord(coords, None, {}, degenerate=True))
             continue
-        gains = LinkGains(h[0], 1.0, h[1])
+        gains = LinkGains(h12, 1.0, h23)
         op = OperatingPoint(p["epsilon"], p["k"]) if "epsilon" in p else None
-        # a fresh NCP table per point: nothing is shared
-        value, extra = spec.evaluate(gains, op, p, {})
+        if kind == "resource_ratio":
+            extra = {f"{pr.value.lower()}_feasible": feasible(pr, gains, op, p["rate"])
+                     for pr in Protocol}
+            value = None
+            if all(extra.values()):
+                totals = [resource_usage(pr, gains, op, p["rate"]).total for pr in Protocol]
+                extra.update(total_ncp=totals[0], total_cp=totals[1])
+                value = totals[0] / totals[1]
+        elif kind == "energy_ratio":
+            eps_ncp, eps_cp = (min_tern(pr, gains, p["k"], p["rate"]).epsilon_min
+                               for pr in Protocol)
+            value, extra = eps_ncp / eps_cp, {"eps_ncp": eps_ncp, "eps_cp": eps_cp}
+        else:
+            ncp, cp = ncp_allocate(gains, op), cp_allocate(gains, op)
+            value = cp.base_rate / ncp.base_rate
+            extra = {"beta_ncp": ncp.beta, "beta_cp": cp.beta,
+                     "rate_ncp": ncp.base_rate, "rate_cp": cp.base_rate}
         if "h12" in spec.extras:
-            extra = {"h12": gains.h12, "h23": gains.h23, **extra}
+            extra = {"h12": h12, "h23": h23, **extra}
         records.append(geometry.SweepRecord(coords, value, extra, value is not None))
         inputs.append((gains, op))
     return records, inputs
@@ -180,7 +211,7 @@ class TestSweeps:
         # once. NCP reads only h23: x=0.25 and 0.75 (and 0 and 1) reflect
         # about the destination, and (|x-1/2|, |y|) pairs such as (0.25, 0.5)
         # and (0.5, 0.25) give bitwise-equal h23
-        assert calls == {"ncp_allocate": 30, "cp_allocate": 43}
+        assert calls == {"ncp": 30, "cp": 43}
         for (x, y), rec in by_coord.items():
             mirrored = by_coord[(x, -y)]
             assert mirrored.gain == rec.gain
@@ -197,7 +228,7 @@ class TestSweeps:
             "y_min": -0.75, "y_max": 0.75, "y_step": 0.01,
             "epsilon": 0.01, "k": 0.1, "eta": 3.0})
         assert len(records) == 201 * 151
-        assert calls == {"ncp_allocate": 8743, "cp_allocate": 15274}
+        assert calls == {"ncp": 8743, "cp": 15274}
 
     def test_collinear_gain_solves_every_point(self, monkeypatch):
         calls = count_allocations(monkeypatch)
@@ -205,7 +236,7 @@ class TestSweeps:
             "d_min": 0.1, "d_max": 0.9, "d_step": 0.1,
             "epsilon": 0.01, "k": 1.0, "eta": 2.0})
         assert len(records) == 9
-        assert calls == {"ncp_allocate": 9, "cp_allocate": 9}
+        assert calls == {"ncp": 9, "cp": 9}
 
     @pytest.mark.parametrize("kind", sorted(geometry._KINDS))
     def test_repeated_points_match_unmemoized_evaluation(self, kind):
@@ -213,6 +244,24 @@ class TestSweeps:
         expected, inputs = unmemoized_sweep(kind, params)
         assert len(set(inputs)) < len(inputs)
         assert sweep(kind, params) == expected
+
+    @pytest.mark.parametrize("kind", sorted(geometry._KINDS))
+    def test_records_match_the_public_functions(self, kind):
+        # STREAM_GRIDS hold degenerate plane points and infeasible resource points
+        expected, _ = unmemoized_sweep(kind, STREAM_GRIDS[kind])
+        assert sweep(kind, STREAM_GRIDS[kind]) == expected
+
+    def test_gain_past_the_float_range_is_degenerate(self):
+        # d^-3 and (y*y)^-1.5 at 1e-110 overflow the floats: past OVERFLOW_GAIN
+        collinear = sweep("collinear_gain", with_params("collinear_gain", d_min=1e-110,
+                                                         d_max=0.5, d_step=0.25))
+        plane = sweep("plane_gain", with_params("plane_gain", x_min=-0.5, x_max=0.0,
+                                                x_step=0.5, y_min=1e-110, y_max=1.0,
+                                                y_step=0.5))
+        for records in (collinear, plane):
+            assert records[0] == geometry.SweepRecord(records[0].coords, None, {},
+                                                      degenerate=True)
+            assert not any(rec.degenerate for rec in records[1:])
 
     def test_plane_gain_row_major_order(self):
         records = sweep("plane_gain", {
@@ -300,12 +349,12 @@ class TestSweeps:
 
 
 def count_evaluations(monkeypatch):
-    """The gains of every point each sweep kind's evaluator solves, in order."""
+    """The (h12, h23) of every point each sweep kind's evaluator solves, in order."""
     evaluated = []
     for kind, spec in geometry._KINDS.items():
-        def counting(gains, *rest, _evaluate=spec.evaluate):
-            evaluated.append(gains)
-            return _evaluate(gains, *rest)
+        def counting(h12, h23, *rest, _evaluate=spec.evaluate):
+            evaluated.append((h12, h23))
+            return _evaluate(h12, h23, *rest)
         monkeypatch.setitem(geometry._KINDS, kind, spec._replace(evaluate=counting))
     return evaluated
 
@@ -349,6 +398,26 @@ BAD_SWEEPS = {
     "d axis from 0": ("energy_ratio", with_params("energy_ratio", d_min=0.0, d_max=1.0),
                       "d must lie in (0, 1), got 0.0"),
     "fixed d": ("rate_ratio", with_params("rate_ratio", d=1.5), "d must lie in (0, 1), got 1.5"),
+    # k <= 0 is no operating point, as a fixed k is not
+    "k axis from 0": ("rate_ratio", with_params("rate_ratio", k_min=0.0), "k must be > 0, got 0.0"),
+    # (x + 0.5)**2 overflows on the first row, y*y on the first column: the
+    # first such point in row-major order is named
+    "plane x squared overflows": ("plane_gain", with_params("plane_gain", x_min=-2e154, x_max=0.0,
+                                                            x_step=1e154, y_min=0.0, y_max=1.0,
+                                                            y_step=0.5),
+                                  "plane point (x=-2e+154, y=0.0) lies too far"),
+    "plane y squared overflows": ("plane_gain", with_params("plane_gain", y_min=1e200,
+                                                            y_max=2e200, y_step=1e200),
+                                  "plane point (x=-0.4, y=1e+200) lies too far"),
+    # finite squared distances whose gain d^-3 underflows to 0 from x = 5e149 on
+    "plane gain underflows": ("plane_gain", with_params("plane_gain", x_min=0.0, x_max=1e150,
+                                                        x_step=5e149),
+                              "plane point (x=5e+149, y=-0.2) lies too far"),
+    # at eta = 1e4 the gain from the destination, 2.25^-5000, underflows while
+    # the one from the source, 0.25^-5000, overflows: one side is enough
+    "plane gain underflows on one side": ("plane_gain", with_params(
+        "plane_gain", x_min=-1.0, x_max=1.0, x_step=1.0, y_min=0.0, y_max=0.5, y_step=0.5,
+        eta=1e4), "plane point (x=-1.0, y=0.0) lies too far"),
 }
 
 
@@ -373,6 +442,25 @@ class TestIterSweep:
             with pytest.raises(ValidationError, match=re.escape(message)):
                 run(kind, params)
         assert evaluated == []
+
+
+# the plane grids whose squares overflow, with the first point each names
+FAR_PLANES = {
+    "x squared": (["--x-min=-2e154", "--x-max", "0", "--x-step", "1e154",
+                   "--y-min", "0", "--y-max", "1", "--y-step", "0.5"], "-2e+154", "0.0"),
+    "y squared": (["--x-min", "0", "--x-max", "1", "--x-step", "0.5",
+                   "--y-min", "1e200", "--y-max", "2e200", "--y-step", "1e200"], "0.0", "1e+200"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_PLANES))
+def test_far_plane_points_exit_2(case, tmp_path, capsys):
+    flags, x, y = FAR_PLANES[case]
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--kind", "plane_gain", *flags, "--epsilon", "0.01", "--k", "1",
+                 "--eta", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: plane point (x={x}, y={y}) lies too far")
+    assert not out.exists()
 
 
 # One small grid per sweep kind, written through the CLI; each CSV's sha256
