@@ -37,8 +37,8 @@ EXIT_IO = 4
 _LAZY = {
     "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
                "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
-    "geometry": ("iter_sweep", "max_geometric_gain", "optimal_relay_location", "sweep",
-                 "sweep_columns", "sweep_rows"),
+    "geometry": ("max_geometric_gain", "optimal_relay_location", "sweep", "sweep_columns",
+                 "sweep_rows"),
     "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
     "verify": ("run_suite",),
 }

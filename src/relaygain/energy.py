@@ -112,32 +112,23 @@ def _bound(protocol: Protocol, h_first: float, h23: float, k: float) -> float:
     return min(h_first, h23 * k / (k + 1.0))
 
 
-def _servable(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
-              rate: float) -> bool:
-    """Whether both slots of (rate, k*rate) exist, on raw floats.
+def _shortfall(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
+               rate: float) -> tuple[str, float, str, float] | None:
+    """What fails in the pair for (rate, k*rate), on raw floats: (quantity,
+    value, limit, value), or None when both slots exist.
 
     The rate must lie below eps times the feasibility bound, which also
-    keeps user 1's target below its chord, and the partner's target below
-    its chord compared in the floats _solve_slot compares. The bound is
-    tested first, so a rate above it fails here even where k*eps overflows.
-    """
-    kappa = k if protocol is Protocol.NCP else k + 1.0
-    return rate < eps * _bound(protocol, h_first, h23, k) and kappa * rate < h23 * (k * eps)
-
-
-def _shortfall(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
-               rate: float) -> tuple[str, float, str, float]:
-    """What fails in a pair that _servable rejects: (quantity, value, limit, value).
-
-    Either the rate is not below its bound eps*m, or only the partner's
-    target kappa*rate is not below its chord h23*(k*eps) in the floats
-    _solve_slot compares.
+    keeps user 1's target below its chord, and the partner's target
+    kappa*rate below its chord h23*(k*eps) compared in the floats
+    _solve_slot compares. The bound is tested first, so a rate above it
+    fails there even where k*eps overflows.
     """
     bound = eps * _bound(protocol, h_first, h23, k)
     if not rate < bound:
         return "rate", rate, "bound", bound
     kappa = k if protocol is Protocol.NCP else k + 1.0
-    return "partner target", kappa * rate, "chord", h23 * (k * eps)
+    target, chord = kappa * rate, h23 * (k * eps)
+    return None if target < chord else ("partner target", target, "chord", chord)
 
 
 def feasibility_bound(protocol: Protocol, gains: LinkGains, k: float) -> float:
@@ -149,7 +140,7 @@ def feasible(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rate: flo
     """Whether resource_usage can serve the demanded base rate: it is below the
     chord bound, and so is the partner's rate in the floats its slot solve uses."""
     rate = _check_positive("rate", rate)
-    return _servable(protocol, _first(protocol, gains), gains.h23, op.epsilon, op.k, rate)
+    return _shortfall(protocol, _first(protocol, gains), gains.h23, op.epsilon, op.k, rate) is None
 
 
 def _log_expm1(x: float) -> float:
@@ -386,7 +377,7 @@ def _solve_slot(h: float, eps_user: float, target: float) -> float:
 
 def _pair_slots(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
                 rate: float) -> tuple[float, float]:
-    """Both users' slots for (rate, k*rate), for a pair that _servable accepts."""
+    """Both users' slots for (rate, k*rate), for a pair with no _shortfall."""
     # under CP the partner's slot also carries the re-encoded source message
     kappa = k if protocol is Protocol.NCP else k + 1.0
     return _solve_slot(h_first, eps, rate), _solve_slot(h23, k * eps, kappa * rate)
@@ -397,8 +388,9 @@ def resource_usage(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rat
     rate = _check_positive("rate", rate)
     h_first, h23 = _links(protocol, gains)
     eps, k = op.epsilon, op.k
-    if not _servable(protocol, h_first, h23, eps, k, rate):
-        quantity, value, limit, limit_value = _shortfall(protocol, h_first, h23, eps, k, rate)
+    shortfall = _shortfall(protocol, h_first, h23, eps, k, rate)
+    if shortfall is not None:
+        quantity, value, limit, limit_value = shortfall
         raise InfeasibleRateError(protocol.value, value, limit_value, quantity, limit)
     beta1, beta2 = _pair_slots(protocol, h_first, h23, eps, k, rate)
     return ResourceUsage(protocol, beta1, beta2, beta1 + beta2)

@@ -11,7 +11,7 @@ evaluator (rate, resource or energy) and its CSV columns. sweep_rows()
 checks every input when it is called and returns a generator whose one
 loop walks the cartesian grid in row-major order (first axis outer),
 yielding each row, a flat tuple in CSV column order, as it is solved;
-iter_sweep() makes a SweepRecord of each row and sweep() is their list.
+sweep() is the list of their SweepRecords.
 For every kind the loop flags a point degenerate, without evaluating it,
 when the relay sits on an endpoint or a gain exceeds OVERFLOW_GAIN.
 Symmetric ranges are mirrored exactly so that rows at (x, y) and (x, -y)
@@ -36,6 +36,8 @@ from .model import LinkGains, OperatingPoint, Protocol, _check_finite, _check_po
 # Beyond this the relay sits so close to an endpoint that solver brackets
 # lose meaning; grid points are flagged degenerate instead of evaluated.
 OVERFLOW_GAIN = 1e12
+# The most points one sweep axis may take; the largest README axis has 981.
+MAX_GRID_POINTS = 10 ** 6
 
 Point = tuple[float, float]
 
@@ -83,13 +85,18 @@ def _distance(a: Point, b: Point) -> float:
 
 
 def gains_from_placement(p: Placement) -> LinkGains:
-    """h_ij = d_ij^(-eta) with Euclidean distances."""
+    """h_ij = d_ij^(-eta) with Euclidean distances; GeometryError for a relay on
+    an endpoint or a gain past the float range."""
     d12 = _distance(p.source, p.relay)
     d13 = _distance(p.source, p.destination)
     d23 = _distance(p.relay, p.destination)
     if d12 == 0.0 or d23 == 0.0:
         raise GeometryError("relay coincides with an endpoint")
-    return LinkGains(h12=d12 ** -p.eta, h13=d13 ** -p.eta, h23=d23 ** -p.eta)
+    try:
+        return LinkGains(h12=d12 ** -p.eta, h13=d13 ** -p.eta, h23=d23 ** -p.eta)
+    except OverflowError:
+        raise GeometryError(f"a gain d^-eta overflows at eta={p.eta!r}: distances "
+                            f"d12={d12!r}, d13={d13!r}, d23={d23!r}") from None
 
 
 def collinear_gains(d: float, eta: float) -> LinkGains:
@@ -116,11 +123,18 @@ def max_geometric_gain(k: float, eta: float) -> float:
 
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive-endpoint grid lo, lo+step, ...; symmetric ranges mirror exactly."""
+    """Inclusive-endpoint grid lo, lo+step, ...; symmetric ranges mirror exactly.
+
+    A grid of more than MAX_GRID_POINTS points is rejected before it is built.
+    """
     lo = _check_finite("lo", lo)
     hi = _check_finite("hi", hi)
     step = _check_positive("step", step)
-    n = int(math.floor((hi - lo) / step * (1.0 + 1e-12))) + 1
+    span = (hi - lo) / step * (1.0 + 1e-12)  # inf where the quotient overflows
+    if not span < MAX_GRID_POINTS:
+        raise ValidationError(f"grid [{lo!r}, {hi!r}] by step {step!r} has more than "
+                              f"{MAX_GRID_POINTS} points")
+    n = int(math.floor(span)) + 1
     if n < 2:
         raise ValidationError(f"empty grid: step {step!r} exceeds range [{lo!r}, {hi!r}]")
     values = [lo + i * step for i in range(n)]
@@ -329,22 +343,15 @@ def _walk(spec: _Kind, grids: list[list[float]], fixed: dict) -> Iterator[tuple]
             yield (*prefix, c, *cells)
 
 
-def iter_sweep(kind: str, params: Mapping[str, float]) -> Iterator[SweepRecord]:
+def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
     """The rows of sweep_rows(kind, params), checked at call time, as records.
 
     A record's extra dict holds its row's non-empty extras by column name:
     {} for a degenerate row, no totals for an infeasible resource_ratio row.
     """
     rows = sweep_rows(kind, params)
-    spec = _KINDS[kind]
-    n = len(spec.axes)
-    return (SweepRecord(row[:n], row[n],
-                        {name: v for name, v in zip(spec.extras, row[n + 1:-2]) if v is not None},
+    n, extras = len(_KINDS[kind].axes), _KINDS[kind].extras
+    return [SweepRecord(row[:n], row[n],
+                        {name: v for name, v in zip(extras, row[n + 1:-2]) if v is not None},
                         row[-2], row[-1])
-            for row in rows)
-
-
-def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:
-    """Every record of iter_sweep(kind, params), as a list: the same checks
-    at call time and the same records in the same order."""
-    return list(iter_sweep(kind, params))
+            for row in rows]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .allocation import collaboration_gain
-from .energy import _pair_slots, _servable, _shortfall, _slot_bound, _solve_slot
+from .energy import _pair_slots, _shortfall, _slot_bound, _solve_slot
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
@@ -151,7 +151,8 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
     violations: list[str] = []
     for cand in sorted(candidates, key=lambda c: c.id):
         for rank, protocol, h_first in ((0, Protocol.NCP, h_sd), (1, Protocol.CP, cand.h_sr)):
-            if _servable(protocol, h_first, cand.h_rd, eps, k, rate):
+            shortfall = _shortfall(protocol, h_first, cand.h_rd, eps, k, rate)
+            if shortfall is None:
                 if protocol is Protocol.CP:
                     first = _slot_bound(h_first, eps, rate)
                     kappa = k + 1.0
@@ -164,9 +165,7 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
                                 rank, cand.id, protocol, cand))
             else:
                 label = f"NCP(pair {cand.id})" if protocol is Protocol.NCP else f"CP({cand.id})"
-                quantity, value, limit, limit_value = _shortfall(protocol, h_first, cand.h_rd,
-                                                                 eps, k, rate)
-                violations.append(f"{label}: {quantity} {value!r} >= {limit} {limit_value!r}")
+                violations.append("{}: {} {!r} >= {} {!r}".format(label, *shortfall))
     if not options:
         raise NoFeasibleOptionError(violations)
     # an option's total is at least its bound: once the next bound exceeds the best

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from relaygain.cli import _csv_lines, _fmt, main
 from relaygain.errors import ValidationError
-from relaygain.geometry import iter_sweep
+from relaygain.geometry import sweep_rows
 
 ONES_SCENARIO = {
     "gains": {"h12": 1.0, "h13": 1.0, "h23": 1.0},
@@ -391,6 +391,17 @@ class TestBoundsAndPlacement:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    def test_overflowing_placement_gain_exits_3_without_traceback(self, tmp_path):
+        # d12 = 1e-10, so h12 = d12^-40 = 1e400 overflows
+        doc = {"placement": {"source": [-0.5, 0.0], "destination": [0.5, 0.0],
+                             "relay": [-0.4999999999, 0.0], "eta": 40},
+               "operating": {"epsilon": 0.01, "k": 1.0}}
+        proc = subprocess.run([sys.executable, "-m", "relaygain.cli", "placement", "--scenario",
+                               write_scenario(tmp_path, doc)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: a gain d^-eta overflows at eta=40.0")
+        assert proc.stderr.count("\n") == 1
+
     def test_placement_requires_placement_scenario(self, tmp_path):
         assert main(["placement", "--scenario",
                      write_scenario(tmp_path, ONES_SCENARIO)]) == 2
@@ -504,6 +515,17 @@ class TestSweepCommand:
                    "--k", "1", "--eta", "2", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_grid_too_large_to_count_exits_2(self, tmp_path, capsys):
+        # (d_max - d_min)/d_step overflows to inf
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--kind", "collinear_gain", "--d-min", "0.1", "--d-max", "0.9",
+                   "--d-step", "1e-320", "--epsilon", "0.01", "--k", "1", "--eta", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: grid [0.1, 0.9] by step 1e-320 has more than 1000000 points\n")
+        assert not out.exists()
+
     def test_unwritable_path_exits_4(self, tmp_path):
         rc = main(["sweep", "--kind", "collinear_gain", "--d-min", "0.2",
                    "--d-max", "0.8", "--d-step", "0.2", "--epsilon", "0.01",
@@ -523,13 +545,13 @@ class TestSweepCommand:
     @pytest.mark.parametrize("before", [None, b"d,energy_ratio\n0.5,1\n"])
     def test_failing_sweep_leaves_out_as_it_was(self, tmp_path, capsys, before):
         # CP's minimal TERN leaves the float range at the fourth point, d=0.2,
-        # after three records have streamed
+        # after three rows have streamed
         flags = {"d_min": 0.05, "d_max": 0.95, "d_step": 0.05, "k": 1.0, "eta": 3.0,
                  "rate": 237.5}
-        records = iter_sweep("energy_ratio", flags)
-        assert len(list(itertools.islice(records, 3))) == 3
+        rows = sweep_rows("energy_ratio", flags)
+        assert len(list(itertools.islice(rows, 3))) == 3
         with pytest.raises(ValidationError, match="outside the float range"):
-            next(records)
+            next(rows)
         out = tmp_path / "out.csv"
         if before is not None:
             out.write_bytes(before)
@@ -574,6 +596,37 @@ class TestSweepCommand:
         assert main([*SMALL_SWEEP, "--out", str(out)]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o600
         assert out.read_text().startswith("d,gain,")
+
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_symlink_out_writes_its_target(self, tmp_path, dangling):
+        expected = tmp_path / "expected.csv"
+        assert main([*SMALL_SWEEP, "--out", str(expected)]) == 0
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if not dangling:
+            target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        assert main([*SMALL_SWEEP, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "expected.csv", "link.csv", "target.csv"]
+
+    # --out that names no file to write: the error open() raises, exit 4
+    BAD_OUTS = {
+        "directory": ("d", "[Errno 21] Is a directory"),
+        "directory with slash": ("d/", "[Errno 21] Is a directory"),
+        "under a file": ("file.txt/x.csv", "[Errno 20] Not a directory"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_OUTS))
+    def test_out_that_is_no_file_exits_4(self, tmp_path, capsys, case):
+        out, message = self.BAD_OUTS[case]
+        (tmp_path / "d").mkdir()
+        (tmp_path / "file.txt").write_bytes(b"keep\n")
+        assert main([*SMALL_SWEEP, "--out", f"{tmp_path}/{out}"]) == 4
+        assert capsys.readouterr().err == f"error: {message}: '{tmp_path}/{out}'\n"
+        assert list((tmp_path / "d").iterdir()) == []
+        assert (tmp_path / "file.txt").read_bytes() == b"keep\n"
 
     def test_fifo_out_is_written_and_stays_a_fifo(self, tmp_path):
         expected = tmp_path / "expected.csv"

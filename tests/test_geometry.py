@@ -14,6 +14,7 @@ from relaygain import (LinkGains, OperatingPoint, Placement, Protocol, collabora
                        sweep_columns)
 from relaygain.cli import main
 from relaygain.errors import GeometryError, ValidationError
+from relaygain.geometry import MAX_GRID_POINTS
 from relaygain.verify import collinear_grid_peak
 
 
@@ -34,6 +35,12 @@ class TestGainsFromPlacement:
     def test_coincident_relay_rejected(self):
         p = Placement((-0.5, 0.0), (0.5, 0.0), (-0.5, 0.0), eta=2.0)
         with pytest.raises(GeometryError):
+            gains_from_placement(p)
+
+    def test_overflowing_gain_rejected(self):
+        # d12 = 1e-10 and d12^-40 = 1e400
+        p = Placement((-0.5, 0.0), (0.5, 0.0), (-0.4999999999, 0.0), eta=40.0)
+        with pytest.raises(GeometryError, match=r"a gain d\^-eta overflows at eta=40.0"):
             gains_from_placement(p)
 
     def test_coincident_endpoints_rejected(self):
@@ -110,6 +117,11 @@ class TestGridValues:
     def test_step_larger_than_range_is_empty(self):
         with pytest.raises(ValidationError):
             grid_values(0.0, 1.0, 2.0)
+
+    def test_points_up_to_the_limit(self):
+        assert len(grid_values(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match=f"more than {MAX_GRID_POINTS} points"):
+            grid_values(0.0, 1.0, 1.0 / MAX_GRID_POINTS)
 
 
 def count_allocations(monkeypatch):
@@ -380,7 +392,7 @@ def with_params(kind, **changes):
     return {**STREAM_GRIDS[kind], **changes}
 
 
-# Each check iter_sweep makes when it is called, with the message it raises
+# Each check sweep_rows makes when it is called, with the message it raises
 BAD_SWEEPS = {
     "unknown kind": ("nope", {}, "unknown sweep kind 'nope'"),
     "missing parameter": ("collinear_gain", {"d_min": 0.1, "d_max": 0.9},
@@ -418,27 +430,42 @@ BAD_SWEEPS = {
     "plane gain underflows on one side": ("plane_gain", with_params(
         "plane_gain", x_min=-1.0, x_max=1.0, x_step=1.0, y_min=0.0, y_max=0.5, y_step=0.5,
         eta=1e4), "plane point (x=-1.0, y=0.0) lies too far"),
+    # (hi - lo)/step overflows to inf
+    "grid count infinite": ("collinear_gain", with_params("collinear_gain", d_step=1e-320),
+                            "grid [0.2, 0.8] by step 1e-320 has more than 1000000 points"),
+    # ~2e200 and 1,000,000,001 points, counted and rejected before any is built
+    "grid too many points": ("plane_gain", with_params("plane_gain", y_min=1e200, y_max=2e200,
+                                                       y_step=0.5),
+                             "grid [1e+200, 2e+200] by step 0.5 has more than 1000000 points"),
+    "grid of a billion points": ("energy_ratio", with_params("energy_ratio", d_min=0.0,
+                                                             d_max=1.0, d_step=1e-9),
+                                 "grid [0.0, 1.0] by step 1e-09 has more than 1000000 points"),
 }
 
 
 class TestIterSweep:
+    """sweep_rows, the stream the sweep command writes, and sweep, its records."""
+
     @pytest.mark.parametrize("kind", sorted(STREAM_GRIDS))
     def test_streams_the_records_of_sweep(self, kind, monkeypatch):
         params = STREAM_GRIDS[kind]
-        expected = sweep(kind, params)
+        expected = list(geometry.sweep_rows(kind, params))
+        n = len(geometry._KINDS[kind].axes)
+        assert [(*r.coords, r.gain, r.feasible, r.degenerate) for r in sweep(kind, params)] == [
+            (*row[:n + 1], *row[-2:]) for row in expected]
         evaluated = count_evaluations(monkeypatch)
-        records = geometry.iter_sweep(kind, params)
+        rows = geometry.sweep_rows(kind, params)
         assert evaluated == []
-        first = next(records)
+        first = next(rows)
         assert len(evaluated) == 1
-        assert [first, *records] == expected
+        assert [first, *rows] == expected
         assert len(evaluated) > 1
 
     @pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
     def test_every_check_raises_at_call_time(self, case, monkeypatch):
         kind, params, message = BAD_SWEEPS[case]
         evaluated = count_evaluations(monkeypatch)
-        for run in (geometry.iter_sweep, sweep):
+        for run in (geometry.sweep_rows, sweep):
             with pytest.raises(ValidationError, match=re.escape(message)):
                 run(kind, params)
         assert evaluated == []

@@ -1,5 +1,6 @@
 """Cold start and the lazy package: what each import loads, and what it exposes."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -41,6 +42,14 @@ PUBLIC_NAMES = [
     "solve_monotone", "sweep",
     "sweep_columns",
 ]
+
+
+def bench_spans():
+    """bench/spans.py, the benchmark's tracer, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def loaded_after(code: str) -> set[str]:
@@ -152,6 +161,19 @@ class TestCliBindings:
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             cli.no_such_name  # noqa: B018
 
+    def test_every_on_demand_name_is_used(self):
+        """Each name cli._LAZY binds is read in cli.py, or hooked there by the
+        benchmark's tracer; any other binding is dead."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        # _LAZY lists its names as strings, so every Name read is outside it
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        hooked = {path for _, module, path, _ in bench_spans()._targets()
+                  if module == "relaygain.cli"}
+        dead = [name for names in cli._LAZY.values() for name in names
+                if name not in read | hooked]
+        assert dead == []
+
     def test_wrapper_set_before_main_stays_in_place(self, tmp_path, monkeypatch):
         calls = []
 
@@ -171,9 +193,7 @@ class TestBenchHooks:
     def test_every_span_target_resolves(self):
         """The benchmark's tracer hooks each name where a module binds it; every one
         must still be there, or the traced run reports its layer metrics absent."""
-        spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = bench_spans()
         missing = []
         for _, module, path, _ in spans._targets():
             try:

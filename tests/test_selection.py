@@ -11,7 +11,7 @@ import relaygain.selection as selection
 from relaygain import (Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate,
                        SelectionDecision, collaboration_gain, evaluate_network,
                        rate_energy_score, select_relay_rate, select_relay_resource)
-from relaygain.energy import _pair_slots, _servable, _shortfall, _slot_bound
+from relaygain.energy import _pair_slots, _shortfall, _slot_bound
 from relaygain.errors import NoFeasibleOptionError, RelayGainError, ValidationError
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -175,12 +175,12 @@ def exhaustive_resource(h_sd, candidates, op, rate):
     for cand in sorted(candidates, key=lambda c: c.id):
         for rank, protocol, h_first, label in ((0, Protocol.NCP, h_sd, f"NCP(pair {cand.id})"),
                                                (1, Protocol.CP, cand.h_sr, f"CP({cand.id})")):
-            if _servable(protocol, h_first, cand.h_rd, eps, k, rate):
+            shortfall = _shortfall(protocol, h_first, cand.h_rd, eps, k, rate)
+            if shortfall is None:
                 beta1, beta2 = _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
                 options.append((beta1 + beta2, rank, cand.id, protocol, cand))
             else:
-                quantity, value, limit, limit_value = _shortfall(protocol, h_first, cand.h_rd,
-                                                                 eps, k, rate)
+                quantity, value, limit, limit_value = shortfall
                 violations.append(f"{label}: {quantity} {value!r} >= {limit} {limit_value!r}")
     if not options:
         raise NoFeasibleOptionError(violations)
@@ -285,7 +285,7 @@ class TestPrunedResourceSelection:
             eps, k = op.epsilon, op.k
             for cand in cands:
                 for protocol, h_first in ((Protocol.NCP, h_sd), (Protocol.CP, cand.h_sr)):
-                    if not _servable(protocol, h_first, cand.h_rd, eps, k, rate):
+                    if _shortfall(protocol, h_first, cand.h_rd, eps, k, rate) is not None:
                         continue
                     try:
                         _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
