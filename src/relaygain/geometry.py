@@ -36,7 +36,8 @@ from .model import LinkGains, OperatingPoint, Protocol, _check_finite, _check_po
 # Beyond this the relay sits so close to an endpoint that solver brackets
 # lose meaning; grid points are flagged degenerate instead of evaluated.
 OVERFLOW_GAIN = 1e12
-# The most points one sweep axis may take; the largest README axis has 981.
+# The most points one sweep axis, and one sweep grid, may take; the largest README
+# axis has 981 and the largest grid 30,351.
 MAX_GRID_POINTS = 10 ** 6
 
 Point = tuple[float, float]
@@ -127,6 +128,11 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
 
     A grid of more than MAX_GRID_POINTS points is rejected before it is built.
     """
+    return _grid(*_grid_axis(lo, hi, step))
+
+
+def _grid_axis(lo: float, hi: float, step: float) -> tuple[float, float, float, int]:
+    """The checked lo, hi and step of a grid_values grid, and its point count."""
     lo = _check_finite("lo", lo)
     hi = _check_finite("hi", hi)
     step = _check_positive("step", step)
@@ -137,6 +143,11 @@ def grid_values(lo: float, hi: float, step: float) -> list[float]:
     n = int(math.floor(span)) + 1
     if n < 2:
         raise ValidationError(f"empty grid: step {step!r} exceeds range [{lo!r}, {hi!r}]")
+    return lo, hi, step, n
+
+
+def _grid(lo: float, hi: float, step: float, n: int) -> list[float]:
+    """The n points of a grid that _grid_axis checked."""
     values = [lo + i * step for i in range(n)]
     if abs(values[-1] - hi) <= 1e-9 * step:
         values[-1] = hi
@@ -286,11 +297,13 @@ def sweep_rows(kind: str, params: Mapping[str, float]) -> Iterator[tuple]:
     """Check one sweep of a kind in SWEEP_KINDS, then stream its grid rows.
 
     Every input is checked here, when the function is called: the kind,
-    missing or unknown parameters, each axis grid, the fixed parameters
-    (positive), d in (0, 1) and k > 0 wherever a point reads them, and the
-    plane's distances (_check_plane). The returned generator yields one row
-    per grid point in row-major order, as the point is solved, and holds no
-    earlier row; an error it raises comes from a solver.
+    missing or unknown parameters, each axis grid, the number of grid
+    points (at most MAX_GRID_POINTS, counted before any axis is built), the
+    fixed parameters (positive), d in (0, 1) and k > 0 wherever a point
+    reads them, and the plane's distances (_check_plane). The returned
+    generator yields one row per grid point in row-major order, as the
+    point is solved, and holds no earlier row; an error it raises comes
+    from a solver.
 
     A row is a flat tuple in the order of sweep_columns(kind), None where
     a cell is empty; a degenerate row is empty but for its coordinates and
@@ -308,8 +321,13 @@ def sweep_rows(kind: str, params: Mapping[str, float]) -> Iterator[tuple]:
     unknown = [name for name in params if name not in required]
     if unknown:
         raise ValidationError(f"sweep {kind!r} got unknown parameters: {', '.join(unknown)}")
-    grids = [grid_values(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
-             for a in spec.axes]
+    axes = [_grid_axis(params[f"{a}_min"], params[f"{a}_max"], params[f"{a}_step"])
+            for a in spec.axes]
+    size = math.prod(n for *_, n in axes)
+    if size > MAX_GRID_POINTS:
+        raise ValidationError(f"sweep {kind!r} grid has {size} points, more than "
+                              f"{MAX_GRID_POINTS}")
+    grids = [_grid(*a) for a in axes]
     fixed = {name: _check_positive(name, params[name]) for name in spec.fixed}
     axis = dict(zip(spec.axes, grids))
     # the values d takes, in grid order: its grid or its fixed value

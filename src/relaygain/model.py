@@ -32,10 +32,18 @@ class Protocol(str, Enum):
     CP = "CP"    # partner decodes the source first, then forwards both messages
 
 
+def _past_float_range(name: str) -> ValidationError:
+    """The error for an integer that float() cannot convert (OverflowError)."""
+    return ValidationError(f"{name} must be finite, got an integer past the float range")
+
+
 def _check_finite(name: str, value: float) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise _past_float_range(name) from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value

@@ -12,7 +12,7 @@ import json
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ValidationError
-from .model import Flow, LinkGains, OperatingPoint, RelayCandidate
+from .model import Flow, LinkGains, OperatingPoint, RelayCandidate, _past_float_range
 
 if TYPE_CHECKING:
     from .geometry import Placement
@@ -45,7 +45,10 @@ def _number(obj: dict, name: str, key: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _past_float_range(f"{name}.{key}") from None
 
 
 def _point(obj: dict, name: str, key: str) -> tuple[float, float]:
@@ -53,7 +56,10 @@ def _point(obj: dict, name: str, key: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ValidationError(f"{name}.{key} must be a two-number array, got {value!r}")
-    return float(value[0]), float(value[1])
+    try:
+        return float(value[0]), float(value[1])
+    except OverflowError:
+        raise _past_float_range(f"{name}.{key}") from None
 
 
 def _parse_candidates(raw, name: str) -> tuple[RelayCandidate, ...]:
@@ -123,11 +129,18 @@ def parse_scenario(doc) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and validate a scenario JSON file; I/O errors propagate as OSError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Read and validate a scenario JSON file; I/O errors propagate as OSError.
+
+    A file that does not decode to a JSON document is a ValidationError
+    naming the path: text that is not UTF-8, malformed JSON, an integer
+    past int()'s digit limit, or nesting past the recursion limit.
+    """
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"undecodable scenario {path}: {exc}") from exc
     return parse_scenario(doc)

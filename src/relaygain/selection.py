@@ -10,7 +10,11 @@ only where h_rd >= h_sd, since that limit divides by min{h_sd, h_rd}: at
 h_sd = 1, h_sr = 4, h_rd = 0.5, k = 1 the score is 0.25 and the limit 0.5.
 The top-scored candidate is confirmed with the exact solvers at the actual
 operating point, and selection falls back to direct transmission unless
-the confirmed gain exceeds one.
+the confirmed gain exceeds one. A confirm is collaboration_gain's ratio
+on raw floats: the NCP and then the CP base rate from the allocation core
+allocation._rates, the same float operations, so the same bits and the
+same errors, without building its records or checking gains that h_sd and
+RelayCandidate have already checked.
 
 Resource mode screens every (candidate, protocol) option for servability:
 the rate must lie below the chord feasibility bound and both users' slots
@@ -23,17 +27,20 @@ order until the next bound exceeds the best total, when no remaining option
 can win or tie; user 1's direct slot is solved once for all NCP pairs. The
 decision is the one solving every option gives. A slot error is the one the
 first failing option in candidate order raises; an option pruned by its
-bound is never solved, so its slot cannot fail the selection.
+bound is never solved, so its slot cannot fail the selection. The
+violations of NoFeasibleOptionError are formatted only when it is raised.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .allocation import collaboration_gain
+from .allocation import _rates
+# unused here; bench/spans.py hooks the gain where this module binds it
+from .allocation import collaboration_gain  # noqa: F401
 from .energy import _pair_slots, _shortfall, _slot_bound, _solve_slot
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
-from .model import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, _check_positive
+from .model import Flow, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
 # eps*h above this marks the rough high-TERN advisory: direct transmission
 # tends to win once received energy dwarfs noise.
@@ -81,10 +88,6 @@ def _score(h_sd: float, cand: RelayCandidate, k: float) -> float:
     return min(cand.h_sr, cand.h_rd * k / (k + 1.0)) / h_sd
 
 
-def _pair_gains(h_sd: float, cand: RelayCandidate) -> LinkGains:
-    return LinkGains(h12=cand.h_sr, h13=h_sd, h23=cand.h_rd)
-
-
 def _advisory(op: OperatingPoint, *gains: float) -> bool:
     return op.epsilon * min(gains) > ADVISORY_THRESHOLD
 
@@ -101,11 +104,16 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
     if not candidates:
         return SelectionDecision(Protocol.NCP, None, 0.0,
                                  high_tern_advisory=_advisory(op, h_sd))
-    k = op.k
+    eps, k = op.epsilon, op.k
     ranked = sorted(candidates, key=lambda c: (-_score(h_sd, c, k), c.id))
 
     def confirmed(cand: RelayCandidate) -> float:
-        return collaboration_gain(_pair_gains(h_sd, cand), op).gain
+        # collaboration_gain(LinkGains(cand.h_sr, h_sd, cand.h_rd), op).gain
+        ncp = _rates(k, h_sd, cand.h_rd, eps, k)[1]
+        cp = _rates(k + 1.0, cand.h_sr, cand.h_rd, eps, k)[1]
+        if ncp <= 0.0:
+            raise ValidationError("NCP base rate vanished; gain undefined")
+        return cp / ncp
 
     best: tuple[float, RelayCandidate] | None = None
     last_error: RelayGainError | None = None
@@ -148,7 +156,7 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
     # every NCP pair shares user 1's direct slot; its bound and value are taken once
     direct_bound = direct = None
     options: list[tuple[float, int, str, Protocol, RelayCandidate]] = []
-    violations: list[str] = []
+    failed: list[tuple[Protocol, str, tuple[str, float, str, float]]] = []
     for cand in sorted(candidates, key=lambda c: c.id):
         for rank, protocol, h_first in ((0, Protocol.NCP, h_sd), (1, Protocol.CP, cand.h_sr)):
             shortfall = _shortfall(protocol, h_first, cand.h_rd, eps, k, rate)
@@ -164,10 +172,13 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
                 options.append((first + _slot_bound(cand.h_rd, k * eps, kappa * rate),
                                 rank, cand.id, protocol, cand))
             else:
-                label = f"NCP(pair {cand.id})" if protocol is Protocol.NCP else f"CP({cand.id})"
-                violations.append("{}: {} {!r} >= {} {!r}".format(label, *shortfall))
+                failed.append((protocol, cand.id, shortfall))
     if not options:
-        raise NoFeasibleOptionError(violations)
+        raise NoFeasibleOptionError([
+            "{}: {} {!r} >= {} {!r}".format(
+                f"NCP(pair {cand_id})" if protocol is Protocol.NCP else f"CP({cand_id})",
+                *shortfall)
+            for protocol, cand_id, shortfall in failed])
     # an option's total is at least its bound: once the next bound exceeds the best
     # total, no option left can win or tie it
     best = None

@@ -526,6 +526,17 @@ class TestSweepCommand:
             "error: grid [0.1, 0.9] by step 1e-320 has more than 1000000 points\n")
         assert not out.exists()
 
+    def test_plane_of_two_long_axes_exits_2(self, tmp_path, capsys):
+        # each axis has 999,999 points, under the per-axis limit; the grid does not
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--kind", "plane_gain", "--x-min", "2", "--x-max", "1000000",
+                   "--x-step", "1", "--y-min", "0", "--y-max", "999998", "--y-step", "1",
+                   "--epsilon", "0.01", "--k", "1", "--eta", "3", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: sweep 'plane_gain' grid has 999998000001 points, more than 1000000\n")
+        assert not out.exists()
+
     def test_unwritable_path_exits_4(self, tmp_path):
         rc = main(["sweep", "--kind", "collinear_gain", "--d-min", "0.2",
                    "--d-max", "0.8", "--d-step", "0.2", "--epsilon", "0.01",

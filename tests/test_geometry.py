@@ -440,6 +440,16 @@ BAD_SWEEPS = {
     "grid of a billion points": ("energy_ratio", with_params("energy_ratio", d_min=0.0,
                                                              d_max=1.0, d_step=1e-9),
                                  "grid [0.0, 1.0] by step 1e-09 has more than 1000000 points"),
+    # each axis is within the limit, the grid is not: two 999,999-point axes are
+    # counted, and neither is built
+    "plane of two long axes": ("plane_gain", with_params("plane_gain", x_min=2.0,
+                                                         x_max=1_000_000.0, x_step=1.0,
+                                                         y_min=0.0, y_max=999_998.0, y_step=1.0),
+                               "sweep 'plane_gain' grid has 999998000001 points, "
+                               "more than 1000000"),
+    "plane one point past the limit": ("plane_gain", with_params(
+        "plane_gain", x_min=2.0, x_max=3.0, x_step=0.001, y_min=0.0, y_max=0.999, y_step=0.001),
+        "sweep 'plane_gain' grid has 1001000 points, more than 1000000"),
 }
 
 
@@ -469,6 +479,15 @@ class TestIterSweep:
             with pytest.raises(ValidationError, match=re.escape(message)):
                 run(kind, params)
         assert evaluated == []
+
+    def test_grid_up_to_the_limit(self, monkeypatch):
+        # 1000 x 1000 points: as many as MAX_GRID_POINTS, so the call is accepted
+        evaluated = count_evaluations(monkeypatch)
+        rows = geometry.sweep_rows("plane_gain", with_params(
+            "plane_gain", x_min=2.0, x_max=2.999, x_step=0.001, y_min=0.0, y_max=0.999,
+            y_step=0.001))
+        assert len(next(rows)) == len(sweep_columns("plane_gain"))
+        assert len(evaluated) == 1
 
 
 # the plane grids whose squares overflow, with the first point each names

@@ -22,6 +22,13 @@ class TestLinkGains:
         with pytest.raises(ValidationError):
             LinkGains(*bad)
 
+    def test_integer_past_the_float_range_is_invalid(self):
+        # float() of such an integer raises OverflowError, not a ValidationError
+        for bad in (10 ** 400, -10 ** 400, 10 ** 5000):
+            with pytest.raises(ValidationError) as err:
+                LinkGains(1.0, bad, 1.0)
+            assert str(err.value) == "h13 must be finite, got an integer past the float range"
+
 
 class TestOperatingPoint:
     def test_epsilon2_is_derived(self):
@@ -33,6 +40,10 @@ class TestOperatingPoint:
     def test_rejects_invalid(self, eps, k):
         with pytest.raises(ValidationError):
             OperatingPoint(eps, k)
+
+    def test_integer_past_the_float_range_is_invalid(self):
+        with pytest.raises(ValidationError, match="^k must be finite, got an integer past"):
+            OperatingPoint(1.0, 10 ** 309)
 
 
 def test_protocol_is_two_valued():

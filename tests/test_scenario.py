@@ -59,6 +59,15 @@ MALFORMED = {
     "flow candidate without h_rd": (
         with_gains(flows=[{**FLOW, "candidates": [{"id": "a", "h_sr": 1.0}]}]),
         "flows[0].candidates[0] is missing 'h_rd'"),
+    # a JSON integer that float() cannot convert
+    "epsilon past the float range": (with_gains(operating={"epsilon": 10 ** 400, "k": 0.5}),
+                                     "operating.epsilon must be finite, got an integer past "
+                                     "the float range"),
+    "relay coordinate past the float range": (
+        {"placement": {"source": [-0.5, 0.0], "destination": [0.5, 0.0],
+                       "relay": [0.0, -10 ** 400], "eta": 3.0},
+         "operating": OPERATING},
+        "placement.relay must be finite, got an integer past the float range"),
 }
 
 
@@ -83,3 +92,48 @@ def test_malformed_scenario_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(with_gains(extra=1)))
     assert main(["gain", "--scenario", str(path)]) == 2
     assert capsys.readouterr() == ("", "error: scenario has unknown keys: extra\n")
+
+
+def scenario_file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_integer_past_the_float_range_exits_2(tmp_path, capsys):
+    text = json.dumps(with_gains(operating={"epsilon": 1.0, "k": 0.5})).replace(
+        '"epsilon": 1.0', '"epsilon": 1' + "0" * 400)
+    assert main(["gain", "--scenario", scenario_file(tmp_path, text.encode())]) == 2
+    assert capsys.readouterr() == (
+        "", "error: operating.epsilon must be finite, got an integer past the float range\n")
+
+
+# Files that do not decode to a JSON document, each with the message after its path
+UNDECODABLE = {
+    "not UTF-8": (b'\xff{"gains": {}}',
+                  "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "integer past the digit limit": (
+        json.dumps(with_gains(operating={"epsilon": 1.0, "k": 0.5})).replace(
+            '"epsilon": 1.0', '"epsilon": 1' + "0" * 5000).encode(),
+        "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit"),
+    "arrays nested 200,000 deep": (b"[" * 200_000 + b"]" * 200_000,
+                                   "maximum recursion depth exceeded while decoding a JSON "
+                                   "array from a unicode string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_file_exits_2(case, tmp_path, capsys):
+    data, message = UNDECODABLE[case]
+    path = scenario_file(tmp_path, data)
+    assert main(["gain", "--scenario", path]) == 2
+    assert capsys.readouterr() == ("", f"error: undecodable scenario {path}: {message}\n")
+
+
+def test_malformed_json_message(tmp_path, capsys):
+    path = scenario_file(tmp_path, b"{not json")
+    assert main(["gain", "--scenario", path]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed JSON in {path}: Expecting property "
+                                       "name enclosed in double quotes: line 1 column 2 "
+                                       "(char 1)\n")

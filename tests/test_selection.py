@@ -102,6 +102,75 @@ class TestSelectRelayRate:
             assert (fast.protocol, fast.relay_id) == (full.protocol, full.relay_id)
 
 
+def gain_confirmed_rate(h_sd, candidates, op, confirm_all=False):
+    """select_relay_rate with each candidate confirmed by collaboration_gain: the
+    reference that its raw-float confirms must match bitwise, errors included."""
+    ranked = sorted(candidates, key=lambda c: (-rate_energy_score(h_sd, c, op.k), c.id))
+    best = last_error = None
+    for cand in ranked:
+        try:
+            gain = collaboration_gain(LinkGains(cand.h_sr, h_sd, cand.h_rd), op).gain
+        except RelayGainError as exc:
+            last_error = exc
+            continue
+        if best is None or gain > best[0]:
+            best = (gain, cand)
+        if not confirm_all:
+            break
+    if best is None:
+        raise last_error
+    gain, cand = best
+    return SelectionDecision(Protocol.CP if gain > 1.0 else Protocol.NCP,
+                             cand.id if gain > 1.0 else None,
+                             rate_energy_score(h_sd, cand, op.k), exact_gain=gain,
+                             high_tern_advisory=selection._advisory(op, h_sd, cand.h_sr,
+                                                                     cand.h_rd))
+
+
+def rate_outcome(select, h_sd, candidates, op, confirm_all):
+    try:
+        d = select(h_sd, candidates, op, confirm_all=confirm_all)
+    except RelayGainError as exc:
+        return type(exc), str(exc)
+    return (d.protocol, d.relay_id, d.criterion_value.hex(), d.exact_gain.hex(),
+            d.high_tern_advisory)
+
+
+class TestRateConfirm:
+    """A confirm computes collaboration_gain's ratio from allocation._rates."""
+
+    @pytest.mark.parametrize("confirm_all", [False, True])
+    @pytest.mark.parametrize("seed, lo, hi", [(4, 0.05, 20.0), (5, 1e-30, 1e30),
+                                              (6, 1e-300, 1e300)])
+    def test_seeded_draws_match_collaboration_gain(self, seed, lo, hi, confirm_all):
+        raised = 0
+        for h_sd, cands, op, _ in random_flows(seed, 400, lo, hi):
+            if not cands:
+                continue
+            got = rate_outcome(select_relay_rate, h_sd, cands, op, confirm_all)
+            assert got == rate_outcome(gain_confirmed_rate, h_sd, cands, op, confirm_all), (
+                h_sd, cands, op)
+            raised += not isinstance(got[0], Protocol)
+        # the wide draws reach share solves that raise
+        assert (raised > 0) is (hi > 20.0)
+
+    @pytest.mark.parametrize("confirm_all", [False, True])
+    def test_failing_share_solve_raises_as_collaboration_gain(self, confirm_all):
+        # the CP share of gains (1e12, 1, 1e-12) at k = 0.01 has no sign change
+        op, cand = OperatingPoint(1.0, 0.01), RelayCandidate("a", 1e12, 1e-12)
+        with pytest.raises(RelayGainError) as want:
+            collaboration_gain(LinkGains(1e12, 1.0, 1e-12), op)
+        with pytest.raises(RelayGainError) as got:
+            select_relay_rate(1.0, [cand], op, confirm_all=confirm_all)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert type(got.value).__name__ == "NoSignChangeError"
+        # confirming every candidate passes over the one that raises
+        b = RelayCandidate("b", 8.0, 8.0)
+        d = select_relay_rate(1.0, [cand, b], op, confirm_all=True)
+        assert (d.criterion_value, d.exact_gain) == (
+            rate_energy_score(1.0, b, op.k), collaboration_gain(LinkGains(8.0, 1.0, 8.0), op).gain)
+
+
 class TestSelectRelayResource:
     def test_both_feasible_winner_by_usage(self):
         decision = select_relay_resource(1.0, [RelayCandidate("r", 8.0, 8.0)],
@@ -135,6 +204,20 @@ class TestSelectRelayResource:
         decision = select_relay_resource(2.0, [pair_a, pair_b], op, rate)
         assert (decision.protocol, decision.relay_id) == (Protocol.NCP, None)
         assert decision.criterion_value == pytest.approx(3.34457410437, rel=1e-11)
+
+    def test_violations_in_candidate_order(self):
+        # b fails both protocols on the rate bound; a fails NCP on the partner's chord
+        # (0.2*rate rounds onto 1.2*(0.2*2.5)) and CP on the rate bound
+        op, rate = OperatingPoint(2.5, 0.2), 2.9999999999999996
+        with pytest.raises(NoFeasibleOptionError) as err:
+            select_relay_resource(2.0, [RelayCandidate("b", 0.5, 0.25),
+                                        RelayCandidate("a", 1.0, 1.2)], op, rate)
+        assert err.value.violations == [
+            "NCP(pair a): partner target 0.6 >= chord 0.6",
+            "CP(a): rate 2.9999999999999996 >= bound 0.5",
+            "NCP(pair b): rate 2.9999999999999996 >= bound 0.625",
+            "CP(b): rate 2.9999999999999996 >= bound 0.10416666666666669"]
+        assert str(err.value) == "no feasible option: " + "; ".join(err.value.violations)
 
     def test_winner_minimal_among_feasible_options(self):
         from relaygain.energy import _solve_slot
