@@ -146,12 +146,17 @@ def cp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     return Allocation(Protocol.CP, beta, base_rate, rate2, base_rate + rate2)
 
 
+def _gain(ncp_rate: float, cp_rate: float) -> float:
+    """The collaboration gain, CP over NCP base rate, defined while the NCP rate is positive."""
+    if ncp_rate <= 0.0:
+        raise ValidationError("NCP base rate vanished; gain undefined")
+    return cp_rate / ncp_rate
+
+
 def collaboration_gain(gains: LinkGains, op: OperatingPoint) -> GainReport:
     """Ratio of CP to NCP base rate; > 1 means collaboration pays off."""
     gains.require_alive("h12", "h13", "h23")
     ncp = ncp_allocate(gains, op)
     cp = cp_allocate(gains, op)
-    if ncp.base_rate <= 0.0:
-        raise ValidationError("NCP base rate vanished; gain undefined")
-    gain = cp.base_rate / ncp.base_rate
+    gain = _gain(ncp.base_rate, cp.base_rate)
     return GainReport(gain=gain, ncp=ncp, cp=cp, collaborate=gain > 1.0)

@@ -98,10 +98,11 @@ def _tangent_construction(h_first: float, h23: float, eps: float, k: float,
 
 def _chord_intersection(h_first: float, h23: float, eps: float, k: float,
                         kappa: float) -> float:
-    """Value where the two endpoint chords cross: X*Y/(X+Y)."""
+    """Value where the two endpoint chords cross: X*Y/(X+Y), or its limit 0 where
+    both chords underflow to 0."""
     x = math.log1p(h_first * eps)
     y = math.log1p(k * h23 * eps) / kappa
-    return x * y / (x + y)
+    return x * y / (x + y) if x + y > 0.0 else 0.0
 
 
 def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[float, float, bool]:

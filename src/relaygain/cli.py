@@ -2,9 +2,9 @@
 
 Subcommands cover every analysis: gain, energy, resource, bounds, select,
 placement, sweep (CSV emission) and verify. Exit codes: 0 success,
-2 validation error, 3 solver error, 4 I/O error. Output is deterministic:
-floats print with 12 significant digits, CSV uses UNIX line endings and
-'.' decimals regardless of locale.
+1 a verify check failed, 2 validation error, 3 solver error, 4 I/O
+error. Output is deterministic: floats print with 12 significant digits,
+CSV uses UNIX line endings and '.' decimals regardless of locale.
 """
 
 from __future__ import annotations

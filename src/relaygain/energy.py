@@ -157,7 +157,9 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
     and x + log1p(-e^-x) - ln x above, +inf at x = inf: the same operations
     in the same order, so the share, the errors and the _COUNTS deltas are
     those of solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0),
-    3 * _SHARE_HALVINGS). Every evaluated share lies strictly inside (0, 1).
+    3 * _SHARE_HALVINGS). Every evaluated share lies strictly inside (0, 1),
+    but the share returned where the bracket closes is its midpoint, which
+    can round to an end of [0, 1]: 0.0 at a subnormal rate.
     L is written out for u and v rather than called: two helper calls per
     evaluation cost 11% of the energy_dual benchmark's wall time.
     """
@@ -223,7 +225,8 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
 def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> EnergySolution:
     """Minimal TERN at which the protocol's optimal base rate reaches `rate`.
 
-    Raises ValidationError when that TERN is outside the normal float range.
+    Raises ValidationError when that TERN is outside the normal float range,
+    or when the share that carries `rate` underflows to 0.
     """
     rate = _check_positive("rate", rate)
     k = _check_positive("k", k)
@@ -240,6 +243,8 @@ def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> Ene
     # ln eps1(b) - ln eps2(b) with ln(b*expm1(R/b)) = ln R + L(R/b): the ln R terms cancel
     offset = math.log(k / kappa) + math.log(h23) - math.log(h_first)
     beta = _crossing(offset, rate, partner_rate)
+    if beta == 0.0:
+        raise ValidationError(f"{protocol.value}: the share for rate {rate!r} underflows to 0")
     log_eps = math.log(beta) + _log_expm1(rate / beta) - math.log(h_first)
     if not _LOG_FLOAT_MIN <= log_eps <= _LOG_FLOAT_MAX:
         raise ValidationError(

@@ -26,7 +26,7 @@ import itertools
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .allocation import _rates
+from .allocation import _gain, _rates
 # unused here; bench/spans.py hooks the allocators where this module binds them
 from .allocation import cp_allocate, ncp_allocate  # noqa: F401
 from .energy import feasible, min_tern, resource_usage
@@ -140,10 +140,9 @@ def _grid_axis(lo: float, hi: float, step: float) -> tuple[float, float, float, 
     if not span < MAX_GRID_POINTS:
         raise ValidationError(f"grid [{lo!r}, {hi!r}] by step {step!r} has more than "
                               f"{MAX_GRID_POINTS} points")
-    n = int(math.floor(span)) + 1
-    if n < 2:
+    if span < 1.0:  # -inf too, for a reversed range and a tiny step
         raise ValidationError(f"empty grid: step {step!r} exceeds range [{lo!r}, {hi!r}]")
-    return lo, hi, step, n
+    return lo, hi, step, int(span) + 1
 
 
 def _grid(lo: float, hi: float, step: float, n: int) -> list[float]:
@@ -233,7 +232,7 @@ def _rate_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
     if ncp is None:
         ncp = shares[h23] = _rates(k, 1.0, h23, eps, k)
     beta_cp, rate_cp = _rates(k + 1.0, h12, h23, eps, k)
-    return rate_cp / ncp[1], ncp[0], beta_cp, ncp[1], rate_cp
+    return _gain(ncp[1], rate_cp), ncp[0], beta_cp, ncp[1], rate_cp
 
 
 def _resource_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):

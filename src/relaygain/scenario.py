@@ -35,7 +35,9 @@ def _require_object(doc, name: str, keys: set[str]) -> dict:
         raise ValidationError(f"{name} must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - keys
     if unknown:
-        raise ValidationError(f"{name} has unknown keys: {', '.join(sorted(unknown))}")
+        # a key that is not printable, a newline say, is quoted to keep the message one line
+        names = ", ".join(key if key.isprintable() else repr(key) for key in sorted(unknown))
+        raise ValidationError(f"{name} has unknown keys: {names}")
     return doc
 
 

@@ -10,11 +10,9 @@ only where h_rd >= h_sd, since that limit divides by min{h_sd, h_rd}: at
 h_sd = 1, h_sr = 4, h_rd = 0.5, k = 1 the score is 0.25 and the limit 0.5.
 The top-scored candidate is confirmed with the exact solvers at the actual
 operating point, and selection falls back to direct transmission unless
-the confirmed gain exceeds one. A confirm is collaboration_gain's ratio
-on raw floats: the NCP and then the CP base rate from the allocation core
-allocation._rates, the same float operations, so the same bits and the
-same errors, without building its records or checking gains that h_sd and
-RelayCandidate have already checked.
+the confirmed gain exceeds one. A confirm is collaboration_gain on raw
+floats, with no records built: allocation._gain of the NCP and then the
+CP base rate from allocation._rates, so the same bits and the same errors.
 
 Resource mode screens every (candidate, protocol) option for servability:
 the rate must lie below the chord feasibility bound and both users' slots
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .allocation import _rates
+from .allocation import _gain, _rates
 # unused here; bench/spans.py hooks the gain where this module binds it
 from .allocation import collaboration_gain  # noqa: F401
 from .energy import _pair_slots, _shortfall, _slot_bound, _solve_slot
@@ -106,20 +104,13 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
                                  high_tern_advisory=_advisory(op, h_sd))
     eps, k = op.epsilon, op.k
     ranked = sorted(candidates, key=lambda c: (-_score(h_sd, c, k), c.id))
-
-    def confirmed(cand: RelayCandidate) -> float:
-        # collaboration_gain(LinkGains(cand.h_sr, h_sd, cand.h_rd), op).gain
-        ncp = _rates(k, h_sd, cand.h_rd, eps, k)[1]
-        cp = _rates(k + 1.0, cand.h_sr, cand.h_rd, eps, k)[1]
-        if ncp <= 0.0:
-            raise ValidationError("NCP base rate vanished; gain undefined")
-        return cp / ncp
-
     best: tuple[float, RelayCandidate] | None = None
     last_error: RelayGainError | None = None
     for cand in ranked:
         try:
-            gain = confirmed(cand)
+            # collaboration_gain(LinkGains(cand.h_sr, h_sd, cand.h_rd), op).gain, NCP solved first
+            gain = _gain(_rates(k, h_sd, cand.h_rd, eps, k)[1],
+                         _rates(k + 1.0, cand.h_sr, cand.h_rd, eps, k)[1])
         except RelayGainError as exc:
             last_error = exc
             continue

@@ -10,11 +10,12 @@ reported, not asserted).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import NamedTuple
 
-from .allocation import collaboration_gain, cp_allocate, ncp_allocate
+from .allocation import _gain, _rates, collaboration_gain, cp_allocate, ncp_allocate
 from .bounds import (cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
                      low_tern_gain_limit, ncp_bounds_high_tern, ncp_bounds_low_tern,
                      small_k_gain_slope)
@@ -42,22 +43,6 @@ def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def _base_rates(gains: LinkGains, op: OperatingPoint, ncp_rates: dict,
-                cp_rates: dict) -> tuple[float, float]:
-    """(NCP, CP) base rates at gains and op, each solved once per the inputs it
-    reads: NCP (h13, h23, eps, k) and CP (h12, h23, eps, k). The two dicts hold
-    the rates solved so far by those keys; the caller owns them."""
-    ncp_key = (gains.h13, gains.h23, op.epsilon, op.k)
-    ncp = ncp_rates.get(ncp_key)
-    if ncp is None:
-        ncp = ncp_rates[ncp_key] = ncp_allocate(gains, op).base_rate
-    cp_key = (gains.h12, gains.h23, op.epsilon, op.k)
-    cp = cp_rates.get(cp_key)
-    if cp is None:
-        cp = cp_rates[cp_key] = cp_allocate(gains, op).base_rate
-    return ncp, cp
-
-
 def sandwich_violations() -> tuple[int, int]:
     """(checked, violations) over the full grid for all four bound operations.
 
@@ -65,7 +50,7 @@ def sandwich_violations() -> tuple[int, int]:
     solved once per the inputs it reads and shared across the third gain.
     """
     checked = violations = 0
-    ncp_rates, cp_rates = {}, {}
+    rates = functools.cache(_rates)
     for h12 in GRID_GAINS:
         for h13 in GRID_GAINS:
             for h23 in GRID_GAINS:
@@ -73,7 +58,8 @@ def sandwich_violations() -> tuple[int, int]:
                 for eps in GRID_EPS:
                     for k in GRID_K:
                         op = OperatingPoint(eps, k)
-                        exact_ncp, exact_cp = _base_rates(gains, op, ncp_rates, cp_rates)
+                        exact_ncp = rates(k, h13, h23, eps, k)[1]
+                        exact_cp = rates(k + 1.0, h12, h23, eps, k)[1]
                         for pair, exact in (
                             (ncp_bounds_high_tern(gains, op), exact_ncp),
                             (ncp_bounds_low_tern(gains, op), exact_ncp),
@@ -240,16 +226,15 @@ def _suite_selection() -> list[CheckResult]:
 def _suite_inequality() -> list[CheckResult]:
     holds = fails = 0
     worst_excess, example = 0.0, ""
-    ncp_rates, cp_rates = {}, {}
+    rates = functools.cache(_rates)  # each base rate solved once per the inputs it reads
     for h12 in (0.25, 1.0, 4.0):
         for h13 in (0.25, 1.0, 4.0):
             for h23 in (0.25, 1.0, 4.0):
                 gains = LinkGains(h12, h13, h23)
                 for eps in (1e-3, 1e-1, 1.0, 10.0, 1e3):
                     for k in GRID_K:
-                        rate_ncp, rate_cp = _base_rates(gains, OperatingPoint(eps, k),
-                                                        ncp_rates, cp_rates)
-                        gain = rate_cp / rate_ncp  # collaboration_gain's ratio
+                        gain = _gain(rates(k, h13, h23, eps, k)[1],
+                                     rates(k + 1.0, h12, h23, eps, k)[1])
                         limit = low_tern_gain_limit(gains, k)
                         if gain <= limit + 1e-12:
                             holds += 1

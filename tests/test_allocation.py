@@ -11,7 +11,7 @@ from relaygain import (LinkGains, OperatingPoint, Protocol, collaboration_gain,
                        collinear_gains, cp_allocate, grid_values, ncp_allocate)
 from relaygain.cli import main
 from relaygain.errors import (DeadLinkError, IterationLimitError, NaNResidualError,
-                              NoSignChangeError, RelayGainError)
+                              NoSignChangeError, RelayGainError, ValidationError)
 from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
 
 LN3 = math.log(3)
@@ -106,6 +106,13 @@ class TestCpAllocate:
 
 
 class TestCollaborationGain:
+    def test_gain_is_undefined_once_the_ncp_rate_vanishes(self):
+        # no solve returns a zero NCP rate: h13*eps underflowing to 0 leaves no sign change
+        assert allocation._gain(2.0, 1.0) == 0.5
+        for ncp_rate in (0.0, -0.0):
+            with pytest.raises(ValidationError, match="NCP base rate vanished; gain undefined"):
+                allocation._gain(ncp_rate, 1.0)
+
     def test_all_ones_below_unity(self):
         report = collaboration_gain(LinkGains(1, 1, 1), OperatingPoint(1, 1))
         assert report.gain == pytest.approx(0.597295, abs=1e-6)

@@ -37,6 +37,12 @@ class TestNcpHighTern:
         assert pair.upper == pytest.approx(2.8115464, abs=1e-6)
         assert pair.lower <= exact <= pair.upper
 
+    def test_underflowing_chords_give_a_zero_lower(self):
+        # both chords, log1p(h13*eps) and log1p(k*h23*eps)/k, underflow to 0, and
+        # X*Y/(X+Y) tends to 0 there
+        pair = ncp_bounds_high_tern(LinkGains(1, 1e-10, 1e-10), OperatingPoint(1e-320, 1e200))
+        assert (pair.lower, pair.upper) == (0.0, 0.0)
+
 
 class TestCpHighTern:
     def test_chord_lower_closed_form(self):
@@ -108,6 +114,19 @@ class TestCpLowTern:
         assert pair.lower <= exact <= pair.upper
 
 
+def count_rate_solves(monkeypatch) -> collections.Counter:
+    """Count verify's base-rate solves by protocol: kappa is k for NCP and k + 1 for CP."""
+    calls = collections.Counter()
+    solve = verify._rates
+
+    def counting(kappa, h_first, h23, eps, k):
+        calls["ncp" if kappa == k else "cp"] += 1
+        return solve(kappa, h_first, h23, eps, k)
+
+    monkeypatch.setattr(verify, "_rates", counting)
+    return calls
+
+
 class TestSandwichGrid:
     def test_full_grid_has_no_violations(self):
         checked, violations = sandwich_violations()
@@ -116,30 +135,20 @@ class TestSandwichGrid:
 
     def test_each_exact_rate_solved_once_per_input_it_reads(self, monkeypatch):
         # NCP reads (h13, h23) and CP (h12, h23): 5*5 gain pairs x 5 eps x 3 k each
-        calls = collections.Counter()
-        for name in ("ncp_allocate", "cp_allocate"):
-            def counting(*args, _solve=getattr(verify, name), _name=name):
-                calls[_name] += 1
-                return _solve(*args)
-            monkeypatch.setattr(verify, name, counting)
+        calls = count_rate_solves(monkeypatch)
         assert sandwich_violations() == (7500, 0)
-        assert calls == {"ncp_allocate": 375, "cp_allocate": 375}
+        assert calls == {"ncp": 375, "cp": 375}
 
 
 class TestInequalitySurvey:
     def test_each_base_rate_solved_once_per_input_it_reads(self, monkeypatch):
         # NCP reads (h13, h23) and CP (h12, h23): 3*3 gain pairs x 5 eps x 3 k each
-        calls = collections.Counter()
-        for name in ("ncp_allocate", "cp_allocate"):
-            def counting(*args, _solve=getattr(verify, name), _name=name):
-                calls[_name] += 1
-                return _solve(*args)
-            monkeypatch.setattr(verify, name, counting)
+        calls = count_rate_solves(monkeypatch)
         assert verify.run_suite("inequality") == [verify.CheckResult(
             "inequality.survey", None,
             "gain <= low-TERN limit held at 119 and failed at 286 points; worst "
             "h=(0.25,4.0,4.0) eps=1000.0 k=10.0: gain 0.8898 > limit 0.0625")]
-        assert calls == {"ncp_allocate": 135, "cp_allocate": 135}
+        assert calls == {"ncp": 135, "cp": 135}
 
 
 class TestLimits:

@@ -703,6 +703,17 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        import relaygain.verify as verify
+        monkeypatch.setitem(verify._SUITES, "sandwich", lambda: [
+            verify.CheckResult("sandwich.grid", True, "held"),
+            verify.CheckResult("sandwich.broken", False, "1 violation")])
+        assert main(["verify", "--suite", "sandwich"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == [f"FAIL {'sandwich.broken':32s} 1 violation",
+                                        "2 checks, 1 failed"]
+        assert err == ""
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "relaygain.cli", "verify",

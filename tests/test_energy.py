@@ -274,6 +274,13 @@ class TestMinTernRange:
         assert message.startswith(f"{protocol.value}: ")
         assert f"rate {rate!r}" in message and f"e^{log_eps}" in message
 
+    def test_share_underflow_is_a_validation_error(self):
+        # the crossing of [0, 5e-324] rounds to the share 0.0, whose log is undefined
+        for protocol in Protocol:
+            with pytest.raises(ValidationError, match=(
+                    f"{protocol.value}: the share for rate 5e-324 underflows to 0")):
+                min_tern(protocol, LinkGains(1, 100, 1), 1.0, 5e-324)
+
     # eps_min and beta from a 50-digit mpmath solve of the crossing equations
     @pytest.mark.parametrize("rate, eps_min, beta", [
         (235.0, 7.9660135401231759e+305, 0.33311460875718671),

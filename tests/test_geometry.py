@@ -118,6 +118,11 @@ class TestGridValues:
         with pytest.raises(ValidationError):
             grid_values(0.0, 1.0, 2.0)
 
+    def test_reversed_range_with_a_tiny_step_is_empty(self):
+        # (hi - lo)/step is -inf, which no point count can take
+        with pytest.raises(ValidationError, match="empty grid: step 1e-310 exceeds range"):
+            grid_values(2.0, 1.0, 1e-310)
+
     def test_points_up_to_the_limit(self):
         assert len(grid_values(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
         with pytest.raises(ValidationError, match=f"more than {MAX_GRID_POINTS} points"):

@@ -45,6 +45,8 @@ MALFORMED = {
     "candidates not an array": (with_gains(candidates={"a": {}}), "candidates must be an array"),
     "candidate id a number": (with_gains(candidates=[{"id": 1, "h_sr": 1.0, "h_rd": 1.0}]),
                               "candidates[0].id must be a string, got 1"),
+    "unknown key with a newline": (with_gains(**{"a\nb": 1, "c": 2}),
+                                   "scenario has unknown keys: 'a\\nb', c"),
     "candidate with unknown key": (
         with_gains(candidates=[{"id": "a", "h_sr": 1.0, "h_rd": 1.0, "h_sd": 1.0}]),
         "candidates[0] has unknown keys: h_sd"),
