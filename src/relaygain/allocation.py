@@ -29,6 +29,7 @@ two copies together: bitwise-equal shares, errors and counts.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import IterationLimitError, NaNResidualError, NoSignChangeError, ValidationError
 from .model import Allocation, GainReport, LinkGains, OperatingPoint, Protocol
@@ -41,6 +42,9 @@ from .rootfind import solve_monotone  # noqa: F401
 # log of infinity.
 _BETA_LO = 1e-15
 _BETA_HI = 1.0 - 1e-15
+# a chord at or above this overflows log1p(chord/b) at a clamped end, where the
+# residual's sign then says nothing about the root
+_CHORD_MAX = sys.float_info.max * (1.0 - _BETA_HI)
 # bisection reaches adjacent doubles of [_BETA_LO, _BETA_HI] within 103
 # halvings (ulp(1e-15) = 2**-102); the solver halves once per 3 evaluations
 _MAX_EVALS = 3 * 103
@@ -118,13 +122,18 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
 def _rates(kappa: float, h_first: float, h23: float, eps: float, k: float) -> tuple[float, float]:
     """(beta, base_rate) of the share residual with this kappa and h_first, from raw floats.
 
-    The core of both allocators and of the rate sweeps: it checks nothing,
-    so a caller passes live gains and a valid operating point. beta lies
-    in [_BETA_LO, _BETA_HI] and base_rate is >= 0, so the checks of an
-    Allocation, which the sweeps do not build, always pass.
+    The core of both allocators and of the rate sweeps: a caller passes
+    live gains and a valid operating point. It checks only the chords
+    h_first*eps and h23*k*eps, which must lie below _CHORD_MAX (a
+    ValidationError otherwise). beta lies in [_BETA_LO, _BETA_HI] and
+    base_rate is >= 0, so the checks of an Allocation, which the sweeps do
+    not build, always pass.
     """
-    chord1 = h_first * eps
-    beta = _share(kappa, chord1, h23 * k * eps)
+    chord1, chord2 = h_first * eps, h23 * k * eps
+    if not (chord1 < _CHORD_MAX and chord2 < _CHORD_MAX):
+        raise ValidationError(f"chords {chord1!r} and {chord2!r} must lie below {_CHORD_MAX!r}, "
+                              "where the share residual overflows at the clamped ends")
+    beta = _share(kappa, chord1, chord2)
     return beta, beta * math.log1p(chord1 / beta)
 
 

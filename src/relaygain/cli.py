@@ -127,7 +127,11 @@ def _per_protocol(sc, solve, operating, measure: str, ratio: str):
         del fields["protocol"]
         payload[protocol.value.lower()] = fields
         lines.append(_row(fields, protocol.value))
-    payload[ratio] = payload["ncp"][measure] / payload["cp"][measure]
+    ncp, cp = payload["ncp"][measure], payload["cp"][measure]
+    payload[ratio] = ncp / cp
+    if not sys.float_info.min <= payload[ratio] <= sys.float_info.max:
+        raise ValidationError(f"{ratio} at rate {rate!r} lies outside the float range: "
+                              f"NCP {measure} {ncp!r} over CP {measure} {cp!r}")
     return payload, [*lines, _row({ratio: payload[ratio]})]
 
 

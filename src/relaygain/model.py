@@ -124,6 +124,8 @@ class RelayCandidate(_RelayCandidate):
     def __new__(cls, id: str, h_sr: float, h_rd: float):
         if not isinstance(id, str) or not id:
             raise ValidationError(f"candidate id must be a non-empty string, got {id!r}")
+        if not id.isprintable():
+            raise ValidationError(f"candidate id must be printable, got {id!r}")
         return tuple.__new__(cls, (id, _check_positive("h_sr", h_sr),
                                    _check_positive("h_rd", h_rd)))
 
@@ -145,6 +147,9 @@ class Flow(_Flow):
 
     def __new__(cls, source: str, destination: str, h_sd: float, epsilon: float, k: float,
                 rate: float | None = None, candidates: tuple[RelayCandidate, ...] = ()):
+        for name, value in (("source", source), ("destination", destination)):
+            if not (isinstance(value, str) and value.isprintable()):
+                raise ValidationError(f"flow {name} must be a printable string, got {value!r}")
         return tuple.__new__(cls, (
             source, destination, _check_positive("h_sd", h_sd),
             _check_positive("epsilon", epsilon), _check_positive("k", k),

@@ -22,11 +22,12 @@ depends on its downlink, so direct-transmission options are costed per
 candidate pair. The shares at an option's two Newton starts bound its total
 from below (energy._slot_bound). Options are solved in ascending bound
 order until the next bound exceeds the best total, when no remaining option
-can win or tie; user 1's direct slot is solved once for all NCP pairs. The
-decision is the one solving every option gives. A slot error is the one the
-first failing option in candidate order raises; an option pruned by its
-bound is never solved, so its slot cannot fail the selection. The
-violations of NoFeasibleOptionError are formatted only when it is raised.
+can win or tie; user 1's slot and its bound are taken once per first-hop
+gain, so once for all NCP pairs. The decision is the one solving every
+option gives. A slot error is the one the first failing option in
+candidate order raises; an option pruned by its bound is never solved, so
+its slot cannot fail the selection. The violations of NoFeasibleOptionError
+are formatted only when it is raised.
 """
 
 from __future__ import annotations
@@ -144,24 +145,20 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
         return SelectionDecision(Protocol.NCP, None, _solve_slot(h_sd, eps, rate),
                                  high_tern_advisory=_advisory(op, h_sd))
 
-    # every NCP pair shares user 1's direct slot; its bound and value are taken once
-    direct_bound = direct = None
-    options: list[tuple[float, int, str, Protocol, RelayCandidate]] = []
+    # user 1's slot depends only on its first-hop gain: its bound and value are taken once per gain
+    bounds: dict[float, float] = {}
+    slots: dict[float, float] = {}
+    options: list[tuple[float, int, str, Protocol, RelayCandidate, float, float]] = []
     failed: list[tuple[Protocol, str, tuple[str, float, str, float]]] = []
     for cand in sorted(candidates, key=lambda c: c.id):
-        for rank, protocol, h_first in ((0, Protocol.NCP, h_sd), (1, Protocol.CP, cand.h_sr)):
+        for rank, protocol, h_first, kappa in ((0, Protocol.NCP, h_sd, k),
+                                                (1, Protocol.CP, cand.h_sr, k + 1.0)):
             shortfall = _shortfall(protocol, h_first, cand.h_rd, eps, k, rate)
             if shortfall is None:
-                if protocol is Protocol.CP:
-                    first = _slot_bound(h_first, eps, rate)
-                    kappa = k + 1.0
-                else:
-                    if direct_bound is None:
-                        direct_bound = _slot_bound(h_sd, eps, rate)
-                    first = direct_bound
-                    kappa = k
-                options.append((first + _slot_bound(cand.h_rd, k * eps, kappa * rate),
-                                rank, cand.id, protocol, cand))
+                if h_first not in bounds:
+                    bounds[h_first] = _slot_bound(h_first, eps, rate)
+                options.append((bounds[h_first] + _slot_bound(cand.h_rd, k * eps, kappa * rate),
+                                rank, cand.id, protocol, cand, h_first, kappa))
             else:
                 failed.append((protocol, cand.id, shortfall))
     if not options:
@@ -174,24 +171,20 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
     # total, no option left can win or tie it
     best = None
     try:
-        for bound, rank, cand_id, protocol, cand in sorted(options):
+        for bound, rank, cand_id, protocol, cand, h_first, kappa in sorted(options):
             if best is not None and bound > best[0]:
                 break
-            if protocol is Protocol.CP:
-                beta1, beta2 = _pair_slots(protocol, cand.h_sr, cand.h_rd, eps, k, rate)
-            else:
-                if direct is None:
-                    direct = _solve_slot(h_sd, eps, rate)
-                beta1, beta2 = direct, _solve_slot(cand.h_rd, k * eps, k * rate)
-            option = (beta1 + beta2, rank, cand_id, protocol, cand)
+            if h_first not in slots:
+                slots[h_first] = _solve_slot(h_first, eps, rate)
+            option = (slots[h_first] + _solve_slot(cand.h_rd, k * eps, kappa * rate),
+                      rank, cand_id, protocol, cand)
             if best is None or option < best:
                 best = option
     except RelayGainError:
         # raise the error of the first failing option in candidate order, whichever
         # failing option the bounds reached first
-        for _, _, _, protocol, cand in options:
-            _pair_slots(protocol, h_sd if protocol is Protocol.NCP else cand.h_sr, cand.h_rd,
-                        eps, k, rate)
+        for _, _, _, protocol, cand, h_first, _ in options:
+            _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
         raise
     total, _, _, protocol, cand = best
     return SelectionDecision(protocol, cand.id if protocol is Protocol.CP else None, total,

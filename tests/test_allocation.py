@@ -113,6 +113,20 @@ class TestCollaborationGain:
             with pytest.raises(ValidationError, match="NCP base rate vanished; gain undefined"):
                 allocation._gain(ncp_rate, 1.0)
 
+    def test_chords_stop_below_the_share_limit(self):
+        """Up to the last float below _CHORD_MAX the gain at unit gains is within
+        1e-15 of 60-digit mpmath; at 1e294 the clamped ends overflowed into a fake
+        sign change (gain 1.998, collaborate=True), and the chords are now rejected."""
+        for eps, exact in ((1.5e293, 0.666610639228938530954725562359),
+                           (math.nextafter(allocation._CHORD_MAX, 0.0),
+                            0.666610654210464681307916677781)):
+            report = collaboration_gain(LinkGains(1, 1, 1), OperatingPoint(eps, 1))
+            assert report.gain == pytest.approx(exact, rel=1e-15)
+            assert not report.collaborate
+        for eps, k in ((allocation._CHORD_MAX, 1.0), (1e294, 1.0), (1.0, 1e300)):
+            with pytest.raises(ValidationError, match="must lie below 1.7962562785812475e"):
+                collaboration_gain(LinkGains(1, 1, 1), OperatingPoint(eps, k))
+
     def test_all_ones_below_unity(self):
         report = collaboration_gain(LinkGains(1, 1, 1), OperatingPoint(1, 1))
         assert report.gain == pytest.approx(0.597295, abs=1e-6)
@@ -260,7 +274,7 @@ def _share_pair(protocol, gains, op, max_iter):
     def residual(b):
         return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
 
-    inline = _outcome(lambda: allocation._rates(kappa, h_first, gains.h23, eps, k)[0])
+    inline = _outcome(lambda: allocation._share(kappa, chord1, chord2))
     reference = _outcome(lambda: solve_monotone(
         residual, Bracket.scan(residual, allocation._BETA_LO, allocation._BETA_HI), max_iter))
     return inline, reference

@@ -6,7 +6,8 @@ literals, values of the wrong type, unknown keys, deep nesting, bytes
 that are not UTF-8, reversed grids and grids with tiny steps. Every case must return
 0, 2, 3 or 4 without an exception escaping main(), and a failing case
 must print exactly one stderr line, starting with "error:"; a passing
-one prints nothing there. (`verify` exits 1 when a check fails; it takes
+one prints nothing there, and with --format json prints strict JSON on
+stdout, without the NaN or Infinity literals. (`verify` exits 1 when a check fails; it takes
 no input a case could mutate, so no case runs it.)
 
 The sweep commands are the README's with coarser steps, so that a case
@@ -94,6 +95,30 @@ FIXED = {
                      "operating": {"epsilon": 1, "k": 1}, "rate": 5e-324},
         "error: NCP: the share for rate 5e-324 underflows to 0\n"),
 }
+# The inputs that printed a line break into a message or a value outside JSON, and
+# the error each now prints
+FIXED.update({
+    "candidate id with a newline": (
+        ["select", "--mode", "resource"],
+        {"gains": {"h12": 1, "h13": 1, "h23": 1}, "operating": {"epsilon": 0.01, "k": 1},
+         "rate": 5, "candidates": [{"id": "a\nb", "h_sr": 2, "h_rd": 2}]},
+        "error: candidate id must be printable, got 'a\\nb'\n"),
+    "flow source with a newline": (
+        ["select"], {**README_FLOWS, "flows": [{**README_FLOWS["flows"][0], "source": "x\ny"}]},
+        "error: flow source must be a printable string, got 'x\\ny'\n"),
+    "energy gain past the float range": (
+        ["energy", "--format", "json"],
+        {"gains": {"h12": 1e200, "h13": 1e-200, "h23": 1e200},
+         "operating": {"epsilon": 1, "k": 1}, "rate": 1e-3},
+        "error: energy_gain at rate 0.001 lies outside the float range: NCP epsilon_min "
+        "1.000500167247597e+197 over CP epsilon_min 2.0020029270953716e-203\n"),
+    # the chords pass float_info.max * (1 - _BETA_HI), where log1p(chord/b)
+    # overflows at a clamped end of the share bracket
+    "chord past the share limit": (
+        ["gain", "--format", "json"], {**README_PLACEMENT, "operating": {"epsilon": 1e300, "k": 1}},
+        "error: chords 1e+300 and 1.1180339887498947e+301 must lie below "
+        "1.7962562785812475e+293, where the share residual overflows at the clamped ends\n"),
+})
 
 
 def leaf_paths(doc, path=()):
@@ -158,19 +183,31 @@ def mutate_sweep(rng: random.Random, kind: str, params: dict) -> list[str]:
                               for name, value in params.items())]
 
 
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity literals, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def outcome_problem(argv, capsys) -> str | None:
     """Run main(argv); what breaks the exit-code contract, or None."""
     try:
         code = main(argv)
     except Exception as exc:  # the contract: nothing escapes main
         return f"{exc!r} escaped main"
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if code not in (0, 2, 3, 4):
         return f"exit {code!r}, stderr {err!r}"
     if code and not (err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")):
         return f"exit {code}, stderr not one error line: {err!r}"
     if not code and err:
         return f"exit 0 with stderr {err!r}"
+    if not code and argv[-2:] == ["--format", "json"]:
+        try:
+            strict_json(out)
+        except ValueError as exc:
+            return f"exit 0, stdout not JSON: {exc}"
     return None
 
 

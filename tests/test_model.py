@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from relaygain import LinkGains, OperatingPoint, Protocol, ValidationError
+from relaygain import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, ValidationError
 from relaygain.errors import DeadLinkError
 
 
@@ -48,3 +48,28 @@ class TestOperatingPoint:
 
 def test_protocol_is_two_valued():
     assert {p.value for p in Protocol} == {"NCP", "CP"}
+
+
+class TestNames:
+    """Names reach one-line messages and output lines, so they must be printable."""
+
+    @pytest.mark.parametrize("bad", ["a\nb", "\r", "\u2028", "\x00"])
+    def test_candidate_id_must_be_printable(self, bad):
+        with pytest.raises(ValidationError) as err:
+            RelayCandidate(bad, 1.0, 1.0)
+        assert str(err.value) == f"candidate id must be printable, got {bad!r}"
+        assert "\n" not in str(err.value)
+
+    def test_candidate_id_keeps_its_type_message(self):
+        for bad in ("", 7, None):
+            with pytest.raises(ValidationError, match="^candidate id must be a non-empty string"):
+                RelayCandidate(bad, 1.0, 1.0)
+
+    @pytest.mark.parametrize("source, destination, name, bad", [
+        ("x\ny", "t", "source", "x\ny"), ("s", "\u2028", "destination", "\u2028"),
+        (7, "t", "source", 7), ("s", None, "destination", None)])
+    def test_flow_names_must_be_printable_strings(self, source, destination, name, bad):
+        with pytest.raises(ValidationError) as err:
+            Flow(source, destination, 1.0, 1.0, 1.0)
+        assert str(err.value) == f"flow {name} must be a printable string, got {bad!r}"
+

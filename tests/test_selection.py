@@ -413,6 +413,28 @@ class TestPrunedResourceSelection:
         assert len(solves) == 6
         assert solves.count((1.0, 1.0, 0.3)) == 1
 
+    def test_user1_slot_is_shared_by_first_hop_gain(self, monkeypatch):
+        """User 1's slot depends only on its first-hop gain: a CP option whose h_sr
+        equals h_sd reuses the NCP direct slot instead of solving it again."""
+        solves = []
+        solve_slot = energy._solve_slot
+
+        def counting(*args):
+            solves.append(args)
+            return solve_slot(*args)
+
+        monkeypatch.setattr(energy, "_solve_slot", counting)
+        monkeypatch.setattr(selection, "_solve_slot", counting)
+        flow = (1.0, [RelayCandidate("a", 1.0, 4.0), RelayCandidate("b", 1.0, 0.7)],
+                OperatingPoint(1.0, 1.0), 0.5)
+        d = select_relay_resource(*flow)
+        assert (d.protocol, d.relay_id) == (Protocol.NCP, None)
+        assert d.criterion_value == float.fromhex("0x1.18fab33a65540p-1")
+        assert len(solves) == 3
+        assert solves.count((1.0, 1.0, 0.5)) == 1
+        monkeypatch.undo()
+        assert outcome(select_relay_resource, *flow) == outcome(exhaustive_resource, *flow)
+
 
 class TestEvaluateNetwork:
     def test_chained_flows(self):
