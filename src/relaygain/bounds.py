@@ -14,20 +14,18 @@ Two constructions sandwich the exact base rate, with the exceptions below:
 Tightness alternates with regime. Negative parabola values are clamped at
 zero (rates are nonnegative). The brackets do not hold for every eps:
 
-* the low-TERN lower bound can exceed the exact rate. Where the
-  equalization share falls at 1, the value returned is user 1's parabola
-  alone, and only the min of both parabolas bounds the rate there.
-  cp_bounds_low_tern at gains (1e4, 1, 1e-4), eps=1e-6, k=0.01 returns
-  lower 0.00995, above its own upper 9.9e-13, which is the exact rate.
-  Over wide seeded draws (gains e^+-10, eps e^+-25, k e^+-5) 1.5% of
-  these lowers exceed the exact rate; none did over the ranges of the
-  benchmark's flows and of verify's grids;
+* the low-TERN lower bound can exceed the exact rate by rounding, since
+  h_a*eps - h_a^2*eps^2/(2*beta) cancels: by up to ~4e-5 relative over
+  wide seeded draws (gains e^+-10, eps e^+-25, k e^+-5), and never over
+  the ranges of the benchmark's flows and of verify's grids. Where
+  eps*h_a^2/2 underflows the peak share is 0, and where the discriminant
+  overflows it is inf: both are a ValidationError, not a bound;
 * the high-TERN pair and the low-TERN upper bound showed no violation in
   those draws. A high-TERN chord that overflows is a ValidationError
   rather than a NaN upper, but where k*h23*eps underflows to 0 the
   low-TERN upper is 0, below its lower.
 
-ROADMAP item 8 tracks the fix.
+ROADMAP item 8 tracks the rest.
 """
 
 from __future__ import annotations
@@ -108,9 +106,12 @@ def _chord_intersection(h_first: float, h23: float, eps: float, k: float,
 def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[float, float, bool]:
     """Equalize the two second-order lower parabolas.
 
-    Solves (h_b - h_a) b^2 + (eps*(h_a^2 + kappa*h_b^2)/2 + h_a - h_b) b
-    - eps*h_a^2/2 = 0 for its unique root in (0, 1]; returns
-    (beta, parabola value, degenerate flag).
+    f(b) = (h_b - h_a) b^2 + (eps*(h_a^2 + kappa*h_b^2)/2 + h_a - h_b) b - eps*h_a^2/2
+    has f(0) < 0 < f(1) = eps*kappa*h_b^2/2, so one root lies in (0, 1). With the
+    stable q = -(lin + sign(lin)*sqrt(D))/2 it is const/q where lin >= 0, else q/quad
+    (f(1) > 0 forces quad > 0, so the other root is negative). Returns (beta,
+    parabola value, degenerate flag). A share of 0 (underflow) or inf (D overflows)
+    raises; a NaN share comes from an infinite curvature term and clamps to lower 0.
     """
     quad = h_b - h_a
     lin = 0.5 * eps * (h_a * h_a + kappa * h_b * h_b) + h_a - h_b
@@ -121,17 +122,13 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
             raise ValidationError(f"low-TERN bound undefined: the parabola slope at "
                                   f"eps={eps!r} underflows to 0")
         beta = -const / lin
-        if beta == 0.0:
-            raise ValidationError(f"low-TERN bound undefined: the parabola peak share at "
-                                  f"eps={eps!r} underflows to 0")
     else:
         disc = math.sqrt(max(lin * lin - 4.0 * quad * const, 0.0))
         q = -0.5 * (lin + math.copysign(disc, lin))
-        candidates = [q / quad]
-        if q != 0.0:
-            candidates.append(const / q)
-        feasible = [r for r in candidates if 0.0 < r <= 1.0]
-        beta = feasible[0] if feasible else min(1.0, max(candidates[0], 1e-300))
+        beta = q / quad if lin < 0.0 else const / q if q else 0.0
+    if beta == 0.0 or beta == math.inf:
+        raise ValidationError(f"low-TERN bound undefined: the parabola peak share at eps={eps!r} "
+                              + ("underflows to 0" if beta == 0.0 else "overflows"))
     value = h_a * eps - h_a * h_a * eps * eps / (2.0 * beta)
     return beta, value, degenerate
 

@@ -19,9 +19,9 @@ class ValidationError(RelayGainError, ValueError):
 class DeadLinkError(RelayGainError):
     """A solver depends on a channel gain that is exactly zero."""
 
-    def __init__(self, link: str, message: str | None = None):
+    def __init__(self, link: str):
         self.link = link
-        super().__init__(message or f"dead link {link}: gain is zero but the solver needs it")
+        super().__init__(f"dead link {link}: gain is zero but the solver needs it")
 
 
 class NoSignChangeError(RelayGainError):
@@ -53,12 +53,10 @@ class IterationLimitError(RelayGainError):
 
 
 class InfeasibleRateError(RelayGainError):
-    """A demand at or above what it must stay below: by default the rate at the
-    chord bound of the achievable rate; `quantity` and `limit` name another
-    pair, such as a slot's target and its chord."""
+    """A demand at or above what it must stay below: `quantity` and `limit` name
+    the pair, such as a rate and its chord bound, or a slot's target and its chord."""
 
-    def __init__(self, protocol: str, rate: float, bound: float, quantity: str = "rate",
-                 limit: str = "bound"):
+    def __init__(self, protocol: str, rate: float, bound: float, quantity: str, limit: str):
         self.protocol, self.rate, self.bound = protocol, rate, bound
         super().__init__(
             f"{protocol}: {quantity} {rate!r} is not servable "

@@ -121,7 +121,7 @@ def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[Rela
         if best is None or gain > best[0]:
             best = (gain, cand)
     if best is None:
-        raise last_error if last_error is not None else ValidationError("no usable candidate")
+        raise last_error
     gain, cand = best
     advisory = _advisory(op, h_sd, cand.h_sr, cand.h_rd)
     if gain > 1.0:

@@ -8,9 +8,10 @@ from relaygain import (LinkGains, OperatingPoint, collaboration_gain, cp_allocat
                        cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
                        low_tern_gain_limit, ncp_allocate, ncp_bounds_high_tern,
                        ncp_bounds_low_tern, small_k_gain_slope)
+from relaygain.allocation import _rates
 from relaygain.bounds import _tangent_construction, _tangent_gap
 import relaygain.verify as verify
-from relaygain.errors import ValidationError
+from relaygain.errors import RelayGainError, ValidationError
 from relaygain.verify import GRID_EPS, GRID_GAINS, GRID_K, sandwich_violations
 
 LN2, LN3 = math.log(2), math.log(3)
@@ -112,6 +113,52 @@ class TestCpLowTern:
         exact = cp_allocate(ONES, OperatingPoint(1, 1)).base_rate
         assert exact == pytest.approx(0.328098, abs=1e-6)
         assert pair.lower <= exact <= pair.upper
+
+
+class TestParabolaRoot:
+    # the peak share is the one root of the equalization quadratic in (0, 1). A
+    # search over both roots kept the other one, just above 1, where it rounded
+    # to 1, and returned user 1's parabola there, far above the exact rate
+    OP = OperatingPoint(1e-6, 0.01)
+
+    @pytest.mark.parametrize("bound, allocate, gains, lower, beta", [
+        (cp_bounds_low_tern, cp_allocate, LinkGains(1e4, 1, 1e-4), 9.90100e-13, 0.005),
+        (ncp_bounds_low_tern, ncp_allocate, LinkGains(1e4, 1, 1e-4), 1.0000000000000751e-10,
+         5.0005e-7),
+        (ncp_bounds_low_tern, ncp_allocate, LinkGains(1, 1e4, 1e-4), 9.99999996e-11, 0.005),
+    ])
+    def test_share_inside_the_unit_interval(self, bound, allocate, gains, lower, beta):
+        pair = bound(gains, self.OP)
+        exact = allocate(gains, self.OP).base_rate
+        assert pair.beta_at_bound == pytest.approx(beta, rel=1e-6)
+        assert pair.lower == pytest.approx(lower, rel=1e-6)
+        assert pair.lower <= exact * (1.0 + 1e-5)
+
+
+class TestSandwichProperty:
+    def test_wide_draws_bracket_the_exact_rate(self):
+        # seeded draws far past verify's grid: gains in e^+-10, eps in e^+-25 and
+        # k in e^+-5. The low-TERN lower keeps the cancellation of
+        # h_a*eps - h_a^2*eps^2/(2*beta), up to ~4e-5 relative here.
+        rng = random.Random(24)
+        checked = 0
+        for _ in range(20000):
+            h12, h13, h23 = (math.exp(rng.uniform(-10.0, 10.0)) for _ in range(3))
+            eps, k = math.exp(rng.uniform(-25.0, 25.0)), math.exp(rng.uniform(-5.0, 5.0))
+            gains, op = LinkGains(h12, h13, h23), OperatingPoint(eps, k)
+            for kappa, h_first, high, low in ((k, h13, ncp_bounds_high_tern, ncp_bounds_low_tern),
+                                              (k + 1.0, h12, cp_bounds_high_tern,
+                                               cp_bounds_low_tern)):
+                try:
+                    exact = _rates(kappa, h_first, h23, eps, k)[1]
+                except RelayGainError:
+                    continue
+                checked += 1
+                high_pair, low_pair = high(gains, op), low(gains, op)
+                assert high_pair.lower <= exact, (gains, op, kappa)
+                assert min(high_pair.upper, low_pair.upper) >= exact * (1.0 - 1e-15), (gains, op)
+                assert low_pair.lower <= exact * (1.0 + 1e-4), (gains, op, kappa)
+        assert checked > 39000
 
 
 def count_rate_solves(monkeypatch) -> collections.Counter:
@@ -232,16 +279,30 @@ class TestUnderflow:
         with pytest.raises(ValidationError, match="parabola slope .* underflows"):
             ncp_bounds_low_tern(*self.TINY)
 
-    @pytest.mark.parametrize("bound", [ncp_bounds_low_tern, cp_bounds_low_tern])
-    def test_underflowing_peak_share_rejected(self, bound):
+    @pytest.mark.parametrize("bound, gains, op", [
         # gains 1e-300 square to 0 in the parabola's constant term, so the
         # equal-gain peak share -const/lin is 0 though the slope is not
-        gains, op = LinkGains(1e-300, 1e-300, 1e-300), OperatingPoint(1e12, 1e300)
+        pytest.param(ncp_bounds_low_tern, LinkGains(1e-300, 1e-300, 1e-300),
+                     OperatingPoint(1e12, 1e300), id="ncp_bounds_low_tern"),
+        pytest.param(cp_bounds_low_tern, LinkGains(1e-300, 1e-300, 1e-300),
+                     OperatingPoint(1e12, 1e300), id="cp_bounds_low_tern"),
+        # eps*h13^2/2 underflows, so the root const/q is 0; a search over both
+        # roots returned lower 1e-170 against upper 1e-210 here
+        pytest.param(ncp_bounds_low_tern, LinkGains(1, 1e-160, 1e-200), OperatingPoint(1e-10, 1),
+                     id="ncp_bounds_low_tern_root"),
+    ])
+    def test_underflowing_peak_share_rejected(self, bound, gains, op):
         with pytest.raises(ValidationError, match="parabola peak share .* underflows"):
             bound(gains, op)
 
 
 class TestOverflow:
+    def test_overflowing_discriminant_rejected(self):
+        # lin^2 overflows, so the peak share q/quad would be inf and the lower
+        # user 1's whole chord, above the upper
+        with pytest.raises(ValidationError, match="parabola peak share at eps=1e-10 overflows"):
+            ncp_bounds_low_tern(LinkGains(1, 1, 1e200), OperatingPoint(1e-10, 1e-300))
+
     @pytest.mark.parametrize("bound", [ncp_bounds_high_tern, cp_bounds_high_tern])
     @pytest.mark.parametrize("gains, op", [
         # the partner's tangent chord is 1e12, but h23*k*eps*(kappa+1) overflows first
