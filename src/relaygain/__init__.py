@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # each public name, in the order of __all__, and the submodule that defines it
 _HOME = {
     "Allocation": "model", "BoundPair": "bounds", "Bracket": "rootfind",
-    "DeadLinkError": "errors", "EnergySolution": "energy", "Flow": "model",
-    "FlowResult": "selection", "GainReport": "model", "GeometryError": "errors",
+    "EnergySolution": "energy", "Flow": "model", "FlowResult": "selection",
+    "GainReport": "model", "GeometryError": "errors",
     "InfeasibleRateError": "errors", "IterationLimitError": "errors", "LinkGains": "model",
     "NaNResidualError": "errors", "NoFeasibleOptionError": "errors",
     "NoSignChangeError": "errors", "OperatingPoint": "model", "OVERFLOW_GAIN": "geometry",

@@ -123,7 +123,7 @@ def _rates(kappa: float, h_first: float, h23: float, eps: float, k: float) -> tu
     """(beta, base_rate) of the share residual with this kappa and h_first, from raw floats.
 
     The core of both allocators and of the rate sweeps: a caller passes
-    live gains and a valid operating point. It checks only the chords
+    positive gains and a valid operating point. It checks only the chords
     h_first*eps and h23*k*eps, which must lie below _CHORD_MAX (a
     ValidationError otherwise). beta lies in [_BETA_LO, _BETA_HI] and
     base_rate is >= 0, so the checks of an Allocation, which the sweeps do
@@ -139,7 +139,6 @@ def _rates(kappa: float, h_first: float, h23: float, eps: float, k: float) -> tu
 
 def ncp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     """Optimal NCP allocation; both users transmit directly to the destination."""
-    gains.require_alive("h13", "h23")
     eps, k = op.epsilon, op.k
     beta, base_rate = _rates(k, gains.h13, gains.h23, eps, k)
     rate2 = k * base_rate
@@ -148,7 +147,6 @@ def ncp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
 
 def cp_allocate(gains: LinkGains, op: OperatingPoint) -> Allocation:
     """Optimal CP allocation; the partner re-encodes and forwards both messages."""
-    gains.require_alive("h12", "h23")
     eps, k = op.epsilon, op.k
     beta, base_rate = _rates(k + 1.0, gains.h12, gains.h23, eps, k)
     rate2 = k * base_rate
@@ -164,7 +162,6 @@ def _gain(ncp_rate: float, cp_rate: float) -> float:
 
 def collaboration_gain(gains: LinkGains, op: OperatingPoint) -> GainReport:
     """Ratio of CP to NCP base rate; > 1 means collaboration pays off."""
-    gains.require_alive("h12", "h13", "h23")
     ncp = ncp_allocate(gains, op)
     cp = cp_allocate(gains, op)
     gain = _gain(ncp.base_rate, cp.base_rate)

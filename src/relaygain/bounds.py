@@ -25,6 +25,8 @@ zero (rates are nonnegative). The brackets do not hold for every eps:
   rather than a NaN upper, but where k*h23*eps underflows to 0 the
   low-TERN upper is 0, below its lower.
 
+An upper bound, limit or slope past the float range is a ValidationError.
+
 ROADMAP item 8 tracks the rest.
 """
 
@@ -133,13 +135,18 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
     return beta, value, degenerate
 
 
+def _in_float_range(value: float, what: str) -> float:
+    if not value < math.inf:  # inf, or NaN from inf/inf
+        raise ValidationError(f"{what} lies outside the float range")
+    return value
+
+
 def _in_unit(beta: float) -> float | None:
     return beta if 0.0 < beta < 1.0 else None
 
 
 def ncp_bounds_high_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
     """Tangent upper / chord lower bracket on the NCP base rate."""
-    gains.require_alive("h13", "h23")
     beta, upper = _tangent_construction(gains.h13, gains.h23, op.epsilon, op.k, op.k)
     lower = _chord_intersection(gains.h13, gains.h23, op.epsilon, op.k, op.k)
     return BoundPair(lower, upper, _in_unit(beta))
@@ -147,7 +154,6 @@ def ncp_bounds_high_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
 
 def cp_bounds_high_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
     """Tangent upper / chord lower bracket on the CP base rate."""
-    gains.require_alive("h12", "h23")
     kappa = op.k + 1.0
     beta, upper = _tangent_construction(gains.h12, gains.h23, op.epsilon, op.k, kappa)
     lower = _chord_intersection(gains.h12, gains.h23, op.epsilon, op.k, kappa)
@@ -156,10 +162,10 @@ def cp_bounds_high_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
 
 def ncp_bounds_low_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
     """Parabola lower / endpoint upper bracket on the NCP base rate."""
-    gains.require_alive("h13", "h23")
     h13, h23, eps, k = gains.h13, gains.h23, op.epsilon, op.k
     beta, value, degenerate = _parabola_peak(h13, h23, eps, k)
-    upper = min(math.log1p(h13 * eps), math.log1p(k * h23 * eps) / k)
+    upper = _in_float_range(min(math.log1p(h13 * eps), math.log1p(k * h23 * eps) / k),
+                            "the NCP low-TERN upper bound")
     return BoundPair(max(0.0, value), upper, _in_unit(beta), degenerate)
 
 
@@ -169,19 +175,19 @@ def cp_bounds_low_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
     The partner curve enters through its low-TERN slope k*h23/(k+1) with
     fairness weight k+1 in the curvature term.
     """
-    gains.require_alive("h12", "h23")
     h12, h23, eps, k = gains.h12, gains.h23, op.epsilon, op.k
     relayed = k * h23 / (k + 1.0)
     beta, value, degenerate = _parabola_peak(h12, relayed, eps, k + 1.0)
-    upper = min(math.log1p(h12 * eps), math.log1p(k * h23 * eps) / (k + 1.0))
+    upper = _in_float_range(min(math.log1p(h12 * eps), math.log1p(k * h23 * eps) / (k + 1.0)),
+                            "the CP low-TERN upper bound")
     return BoundPair(max(0.0, value), upper, _in_unit(beta), degenerate)
 
 
 def low_tern_gain_limit(gains: LinkGains, k: float) -> float:
     """Limit of the collaboration gain as eps -> 0+."""
     k = _check_positive("k", k)
-    gains.require_alive("h12", "h13", "h23")
-    return min(gains.h12, k / (k + 1.0) * gains.h23) / min(gains.h13, gains.h23)
+    return _in_float_range(min(gains.h12, k / (k + 1.0) * gains.h23) / min(gains.h13, gains.h23),
+                           "the low-TERN gain limit")
 
 
 def high_tern_gain_limit(k: float) -> float:
@@ -193,5 +199,5 @@ def high_tern_gain_limit(k: float) -> float:
 def small_k_gain_slope(gains: LinkGains, eps: float) -> float:
     """Limit of gain/k as k -> 0+: h23*eps / ln(1 + h13*eps)."""
     eps = _check_positive("eps", eps)
-    gains.require_alive("h13", "h23")
-    return gains.h23 * eps / math.log1p(gains.h13 * eps)
+    run = math.log1p(gains.h13 * eps)  # 0 where h13*eps underflows
+    return _in_float_range(gains.h23 * eps / run if run else math.inf, "the small-k gain slope")

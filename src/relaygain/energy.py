@@ -100,11 +100,6 @@ def _first(protocol: Protocol, gains: LinkGains) -> float:
     return gains.h13 if protocol is Protocol.NCP else gains.h12
 
 
-def _links(protocol: Protocol, gains: LinkGains) -> tuple[float, float]:
-    gains.require_alive("h13" if protocol is Protocol.NCP else "h12", "h23")
-    return _first(protocol, gains), gains.h23
-
-
 def _bound(protocol: Protocol, h_first: float, h23: float, k: float) -> float:
     """feasibility_bound on raw floats, with h_first = h13 for NCP and h12 for CP."""
     if protocol is Protocol.NCP:
@@ -230,7 +225,7 @@ def min_tern(protocol: Protocol, gains: LinkGains, k: float, rate: float) -> Ene
     """
     rate = _check_positive("rate", rate)
     k = _check_positive("k", k)
-    h_first, h23 = _links(protocol, gains)
+    h_first, h23 = _first(protocol, gains), gains.h23
     kappa = k if protocol is Protocol.NCP else k + 1.0
     # the rate the partner's slot carries; a product that under- or overflows is rejected
     partner_rate = _check_positive("partner rate", kappa * rate)
@@ -391,11 +386,15 @@ def _pair_slots(protocol: Protocol, h_first: float, h23: float, eps: float, k: f
 def resource_usage(protocol: Protocol, gains: LinkGains, op: OperatingPoint, rate: float) -> ResourceUsage:
     """Resource slots required by both users to serve (rate, k*rate)."""
     rate = _check_positive("rate", rate)
-    h_first, h23 = _links(protocol, gains)
+    h_first, h23 = _first(protocol, gains), gains.h23
     eps, k = op.epsilon, op.k
     shortfall = _shortfall(protocol, h_first, h23, eps, k, rate)
     if shortfall is not None:
         quantity, value, limit, limit_value = shortfall
         raise InfeasibleRateError(protocol.value, value, limit_value, quantity, limit)
     beta1, beta2 = _pair_slots(protocol, h_first, h23, eps, k, rate)
-    return ResourceUsage(protocol, beta1, beta2, beta1 + beta2)
+    total = beta1 + beta2
+    if total == math.inf:
+        raise ValidationError(f"{protocol.value}: the total of slots {beta1!r} and {beta2!r} "
+                              "lies outside the float range")
+    return ResourceUsage(protocol, beta1, beta2, total)

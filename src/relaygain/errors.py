@@ -16,14 +16,6 @@ class ValidationError(RelayGainError, ValueError):
     """Invalid argument or malformed input document."""
 
 
-class DeadLinkError(RelayGainError):
-    """A solver depends on a channel gain that is exactly zero."""
-
-    def __init__(self, link: str):
-        self.link = link
-        super().__init__(f"dead link {link}: gain is zero but the solver needs it")
-
-
 class NoSignChangeError(RelayGainError):
     """Root bracketing failed: f has the same sign at both endpoints."""
 

@@ -87,7 +87,8 @@ def _distance(a: Point, b: Point) -> float:
 
 def gains_from_placement(p: Placement) -> LinkGains:
     """h_ij = d_ij^(-eta) with Euclidean distances; GeometryError for a relay on
-    an endpoint or a gain past the float range."""
+    an endpoint or a gain past the float range, ValidationError for one that
+    underflows to 0."""
     d12 = _distance(p.source, p.relay)
     d13 = _distance(p.source, p.destination)
     d23 = _distance(p.relay, p.destination)
@@ -106,11 +107,15 @@ def collinear_gains(d: float, eta: float) -> LinkGains:
     eta = _check_positive("eta", eta)
     if not 0.0 < d < 1.0:
         raise ValidationError(f"d must lie in (0, 1), got {d!r}")
-    return LinkGains(h12=d ** -eta, h13=1.0, h23=(1.0 - d) ** -eta)
+    try:
+        return LinkGains(h12=d ** -eta, h13=1.0, h23=(1.0 - d) ** -eta)
+    except OverflowError:
+        raise GeometryError(f"a gain d^-eta overflows at d={d!r}, eta={eta!r}") from None
 
 
 def optimal_relay_location(k: float, eta: float) -> float:
-    """Collinear relay position maximizing the low-TERN gain; always in (1/2, 1)."""
+    """Collinear relay position maximizing the low-TERN gain: in (1/2, 1), but 1.0 where
+    (k/(k+1))**(1/eta) < 2**-53 (as at k = 1, eta = 1e-3), 1/2 where k/(k+1) rounds to 1."""
     k = _check_positive("k", k)
     eta = _check_positive("eta", eta)
     return 1.0 / (1.0 + (k / (k + 1.0)) ** (1.0 / eta))
@@ -120,7 +125,10 @@ def max_geometric_gain(k: float, eta: float) -> float:
     """Peak low-TERN collaboration gain over collinear relay placements."""
     k = _check_positive("k", k)
     eta = _check_positive("eta", eta)
-    return (1.0 + (k / (k + 1.0)) ** (1.0 / eta)) ** eta
+    try:
+        return (1.0 + (k / (k + 1.0)) ** (1.0 / eta)) ** eta
+    except OverflowError:
+        raise ValidationError(f"peak gain at eta={eta!r} lies outside the float range") from None
 
 
 def grid_values(lo: float, hi: float, step: float) -> list[float]:

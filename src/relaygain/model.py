@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DeadLinkError, ValidationError
+from .errors import ValidationError
 
 
 class Protocol(str, Enum):
@@ -56,13 +56,6 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
-def _check_gain(name: str, value: float) -> float:
-    value = _check_finite(name, value)
-    if value < 0.0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
-
-
 class _LinkGains(NamedTuple):
     h12: float
     h13: float
@@ -72,21 +65,15 @@ class _LinkGains(NamedTuple):
 class LinkGains(_LinkGains):
     """Channel energy gains of a source(1)/relay(2)/destination(3) triple.
 
-    A gain of exactly zero marks a dead link; it is representable, but any
-    solver whose equations involve that link raises DeadLinkError instead
-    of producing infinities.
+    Each gain is a path-loss gain d^-eta, positive and finite; a zero gain,
+    as where d^-eta underflows, is a ValidationError naming the link.
     """
 
     __slots__ = ()
 
     def __new__(cls, h12: float, h13: float, h23: float):
-        return tuple.__new__(cls, (_check_gain("h12", h12), _check_gain("h13", h13),
-                                   _check_gain("h23", h23)))
-
-    def require_alive(self, *links: str) -> None:
-        for link in links:
-            if getattr(self, link) == 0.0:
-                raise DeadLinkError(link)
+        return tuple.__new__(cls, (_check_positive("h12", h12), _check_positive("h13", h13),
+                                   _check_positive("h23", h23)))
 
 
 class _OperatingPoint(NamedTuple):

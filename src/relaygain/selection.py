@@ -32,6 +32,7 @@ are formatted only when it is raised.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .allocation import _gain, _rates
@@ -187,6 +188,9 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
             _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
         raise
     total, _, _, protocol, cand = best
+    if total == math.inf:
+        raise ValidationError(f"{protocol.value}: the least total usage lies outside the float "
+                              "range")
     return SelectionDecision(protocol, cand.id if protocol is Protocol.CP else None, total,
                              high_tern_advisory=_advisory(op, h_sd, cand.h_sr, cand.h_rd))
 

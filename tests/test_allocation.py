@@ -10,8 +10,8 @@ import relaygain.allocation as allocation
 from relaygain import (LinkGains, OperatingPoint, Protocol, collaboration_gain,
                        collinear_gains, cp_allocate, grid_values, ncp_allocate)
 from relaygain.cli import main
-from relaygain.errors import (DeadLinkError, IterationLimitError, NaNResidualError,
-                              NoSignChangeError, RelayGainError, ValidationError)
+from relaygain.errors import (IterationLimitError, NaNResidualError, NoSignChangeError,
+                              RelayGainError, ValidationError)
 from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
 
 LN3 = math.log(3)
@@ -63,10 +63,12 @@ class TestNcpAllocate:
             res = abs(float(ncp_residual(gains, op, alloc.beta)))
             assert res <= 1e-10 * (1.0 + alloc.base_rate)
 
-    @pytest.mark.parametrize("gains", [LinkGains(1, 0, 1), LinkGains(1, 1, 0)])
+    @pytest.mark.parametrize("gains", [(1, 0, 1), (1, 1, 0)])
     def test_dead_link_rejected(self, gains):
-        with pytest.raises(DeadLinkError):
-            ncp_allocate(gains, OperatingPoint(1, 1))
+        # a zero gain is rejected when the gains are built, naming the link
+        link = "h13" if gains[1] == 0 else "h23"
+        with pytest.raises(ValidationError, match=f"^{link} must be > 0, got 0.0$"):
+            ncp_allocate(LinkGains(*gains), OperatingPoint(1, 1))
 
 
 class TestCpAllocate:
@@ -82,7 +84,7 @@ class TestCpAllocate:
     def test_h13_is_ignored(self):
         op = OperatingPoint(0.7, 2.0)
         a = cp_allocate(LinkGains(1.5, 123.0, 2.5), op)
-        b = cp_allocate(LinkGains(1.5, 0.0, 2.5), op)
+        b = cp_allocate(LinkGains(1.5, 1e-9, 2.5), op)
         assert a == b
 
     def test_low_tern_relayed_limit(self):
@@ -99,10 +101,11 @@ class TestCpAllocate:
             res = abs(float(cp_residual(gains, op, alloc.beta)))
             assert res <= 1e-10 * (1.0 + alloc.base_rate)
 
-    @pytest.mark.parametrize("gains", [LinkGains(0, 1, 1), LinkGains(1, 1, 0)])
+    @pytest.mark.parametrize("gains", [(0, 1, 1), (1, 1, 0)])
     def test_dead_link_rejected(self, gains):
-        with pytest.raises(DeadLinkError):
-            cp_allocate(gains, OperatingPoint(1, 1))
+        link = "h12" if gains[0] == 0 else "h23"
+        with pytest.raises(ValidationError, match=f"^{link} must be > 0, got 0.0$"):
+            cp_allocate(LinkGains(*gains), OperatingPoint(1, 1))
 
 
 class TestCollaborationGain:

@@ -313,3 +313,22 @@ class TestOverflow:
     def test_infinite_chord_rejected_not_nan(self, bound, gains, op):
         with pytest.raises(ValidationError, match="tangent chords .* must be finite"):
             bound(gains, op)
+
+    @pytest.mark.parametrize("call, args", [
+        # ln(1 + h13*eps) underflows to 0: the slope divided by zero
+        pytest.param(small_k_gain_slope, (LinkGains(1, 1e-300, 1), 1e-30), id="slope_run"),
+        # h23*eps overflows: the slope was inf
+        pytest.param(small_k_gain_slope, (LinkGains(1, 1, 1e300), 1e10), id="slope_rise"),
+        pytest.param(low_tern_gain_limit, (LinkGains(1e300, 1e-300, 1e300), 1.0),
+                     id="low_tern_gain_limit"),
+        # both endpoint chords overflow: the pair was the vacuous (0, inf)
+        pytest.param(ncp_bounds_low_tern,
+                     (LinkGains(1e200, 1e200, 1e200), OperatingPoint(1e200, 1)),
+                     id="ncp_bounds_low_tern"),
+        pytest.param(cp_bounds_low_tern,
+                     (LinkGains(1e200, 1e200, 1e200), OperatingPoint(1e200, 1)),
+                     id="cp_bounds_low_tern"),
+    ])
+    def test_value_past_the_float_range_rejected(self, call, args):
+        with pytest.raises(ValidationError, match="lies outside the float range$"):
+            call(*args)

@@ -130,10 +130,10 @@ GOLDEN = {
         "u4->u1: error: no feasible option: NCP(pair u3): rate 0.5 >= bound 0.2; CP(u3): rate 0.5 >= bound 0.1\n",
         "7c918cf5e56b9e9ca1f04398bb750c0ea2f78940ce12a747944b3f727d308b66",
         ""),
-    "dead_link": (["gain"], "dead_link", 3,
+    "dead_link": (["gain"], "dead_link", 2,
         "",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "error: dead link h13: gain is zero but the solver needs it\n"),
+        "error: h13 must be > 0, got 0.0\n"),
     "bounds_peak_underflow": (["bounds"], "peak_underflow", 2,
         "",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -299,11 +299,11 @@ class TestGainCommand:
         path.write_text("{not json")
         assert main(["gain", "--scenario", str(path)]) == 2
 
-    def test_dead_link_exits_3(self, tmp_path, capsys):
+    def test_zero_gain_exits_2(self, tmp_path, capsys):
         doc = {"gains": {"h12": 1.0, "h13": 0.0, "h23": 1.0},
                "operating": {"epsilon": 1.0, "k": 1.0}}
         rc = main(["gain", "--scenario", write_scenario(tmp_path, doc)])
-        assert rc == 3
+        assert rc == 2
         assert "h13" in capsys.readouterr().err
 
     def test_missing_file_exits_4(self, tmp_path):

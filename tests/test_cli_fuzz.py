@@ -119,6 +119,25 @@ FIXED.update({
         "error: chords 1e+300 and 1.1180339887498947e+301 must lie below "
         "1.7962562785812475e+293, where the share residual overflows at the clamped ends\n"),
 })
+# A zero gain, given or underflowed from d^-eta, is rejected with the gains; it exited
+# 3 as a dead link. The peak gain (1 + c**(1/eta))**eta overflowed past eta ~ 1025 and
+# exited 1, though all three gains of this placement are 1.
+FIXED.update({
+    "zero gain": (
+        ["gain"], {**README_GAINS, "gains": {"h12": 8.0, "h13": 0.0, "h23": 8.0}},
+        "error: h13 must be > 0, got 0.0\n"),
+    "underflowing placement gain": (
+        ["placement"],
+        {**README_PLACEMENT, "placement": {**README_PLACEMENT["placement"], "relay": [0, 10],
+                                           "eta": 400}},
+        "error: h12 must be > 0, got 0.0\n"),
+    "peak gain past the float range": (
+        ["placement"],
+        {"placement": {"source": [-0.5, 0], "destination": [0.5, 0],
+                       "relay": [0, 0.8660254037844386], "eta": 1030},
+         "operating": {"epsilon": 0.05, "k": 1}},
+        "error: peak gain at eta=1030.0 lies outside the float range\n"),
+})
 
 
 def leaf_paths(doc, path=()):

@@ -12,8 +12,8 @@ from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_
                        feasibility_bound, feasible, grid_values, min_tern, ncp_allocate,
                        resource_usage, sweep)
 from relaygain.cli import main
-from relaygain.errors import (DeadLinkError, InfeasibleRateError, IterationLimitError,
-                              NaNResidualError, RelayGainError, ValidationError)
+from relaygain.errors import (InfeasibleRateError, IterationLimitError, NaNResidualError,
+                              RelayGainError, ValidationError)
 from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
 
 ONES = LinkGains(1, 1, 1)
@@ -52,7 +52,7 @@ class TestMinTern:
             min_tern(Protocol.NCP, ONES, 1.0, 0.0)
 
     def test_dead_link_rejected(self):
-        with pytest.raises(DeadLinkError):
+        with pytest.raises(ValidationError, match="^h12 must be > 0, got 0.0$"):
             min_tern(Protocol.CP, LinkGains(0.0, 1.0, 1.0), 1.0, 0.1)
 
 
@@ -202,6 +202,13 @@ class TestSlotExtremes:
         huge = LinkGains(1e300, 1e300, 1e300)
         with pytest.raises(ValidationError, match="above the float range"):
             resource_usage(Protocol.NCP, huge, OperatingPoint(1, 1), math.nextafter(1e300, 0))
+
+    def test_total_above_float_range_is_a_validation_error(self):
+        # each slot is ~9.03e307, within the float range, and their sum is not
+        op, rate = OperatingPoint(4e292, 1), math.nextafter(4e292, 0)
+        with pytest.raises(ValidationError, match="^NCP: the total of slots .* lies outside "
+                                                  "the float range$"):
+            resource_usage(Protocol.NCP, ONES, op, rate)
 
     # shares from a 50-digit mpmath Lambert-W solve of beta*ln(1 + h*eps/beta) = target
     @pytest.mark.parametrize("protocol, beta1, beta2", [

@@ -26,8 +26,8 @@ ON_DEMAND = {"relaygain.bounds", "relaygain.geometry", "relaygain.selection", "r
 HEAVY = {"dataclasses", "inspect"}
 
 PUBLIC_NAMES = [
-    "Allocation", "BoundPair", "Bracket", "DeadLinkError", "EnergySolution",
-    "Flow", "FlowResult", "GainReport", "GeometryError", "InfeasibleRateError",
+    "Allocation", "BoundPair", "Bracket", "EnergySolution", "Flow", "FlowResult",
+    "GainReport", "GeometryError", "InfeasibleRateError",
     "IterationLimitError", "LinkGains", "NaNResidualError", "NoFeasibleOptionError",
     "NoSignChangeError", "OperatingPoint", "OVERFLOW_GAIN", "Placement",
     "Protocol", "RelayCandidate", "RelayGainError", "ResourceUsage",

@@ -186,6 +186,16 @@ class TestSelectRelayResource:
         assert decision.protocol is Protocol.CP
         assert decision.relay_id == "r"
 
+    def test_least_total_above_float_range_is_a_validation_error(self):
+        # the one feasible option's two slots, ~9.03e307 each, sum to inf; a partner
+        # with twice the gain needs a smaller slot, and its total is finite
+        op, rate = OperatingPoint(4e292, 1.0), math.nextafter(4e292, 0)
+        with pytest.raises(ValidationError, match="^NCP: the least total usage lies outside"):
+            select_relay_resource(1.0, [RelayCandidate("a", 1.0, 1.0)], op, rate)
+        decision = select_relay_resource(
+            1.0, [RelayCandidate("a", 1.0, 1.0), RelayCandidate("b", 1.0, 2.0)], op, rate)
+        assert math.isfinite(decision.criterion_value)
+
     def test_nothing_feasible_is_structured(self):
         with pytest.raises(NoFeasibleOptionError) as err:
             select_relay_resource(0.1, [RelayCandidate("r", 0.2, 0.2)],
