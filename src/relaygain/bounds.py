@@ -33,6 +33,7 @@ ROADMAP item 8 tracks the rest.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -197,7 +198,17 @@ def high_tern_gain_limit(k: float) -> float:
 
 
 def small_k_gain_slope(gains: LinkGains, eps: float) -> float:
-    """Limit of gain/k as k -> 0+: h23*eps / ln(1 + h13*eps)."""
+    """Limit of gain/k as k -> 0+: h23*eps / ln(1 + h13*eps).
+
+    Where h13*eps or h23*eps is not a normal float, that quotient loses
+    its digits or divides by 0; there the slope is (h23/h13) * (x/ln(1+x))
+    with x = h13*eps, the factor taken as 1 where x is not a normal float.
+    """
     eps = _check_positive("eps", eps)
-    run = math.log1p(gains.h13 * eps)  # 0 where h13*eps underflows
-    return _in_float_range(gains.h23 * eps / run if run else math.inf, "the small-k gain slope")
+    run, rise = gains.h13 * eps, gains.h23 * eps
+    if min(run, rise) >= sys.float_info.min:
+        slope = rise / math.log1p(run)
+    else:
+        normal = sys.float_info.min <= run < math.inf
+        slope = gains.h23 / gains.h13 * (run / math.log1p(run) if normal else 1.0)
+    return _in_float_range(slope, "the small-k gain slope")

@@ -37,8 +37,8 @@ EXIT_IO = 4
 _LAZY = {
     "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
                "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
-    "geometry": ("max_geometric_gain", "optimal_relay_location", "sweep", "sweep_columns",
-                 "sweep_rows"),
+    "geometry": ("max_geometric_gain", "optimal_relay_location", "render_sweep", "sweep",
+                 "sweep_columns"),
     "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
     "verify": ("run_suite",),
 }
@@ -75,22 +75,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_lines(rows: list[tuple], width: int) -> list[str]:
-    """Each sweep row of `width` cells as one CSV line: ",".join(map(_fmt, row)) + "\n".
+def _csv_coords(values: list[float]) -> list[str]:
+    """Sweep coordinates, all floats, as CSV cells: '%.12g,' % v is _fmt(v) + ","."""
+    return list(map("%.12g,".__mod__, values))
 
-    The last two cells of a row are its feasible and degenerate flags. A
-    feasible, non-degenerate row of floats is one %-format of the kind's
-    template: '%.12g' % v equals format(v, ".12g") for every float, but it
-    prints a bool as 1 and rejects None, so any other row takes _fmt per
-    cell. No cell needs CSV quoting: a cell is a number, empty, true or
-    false.
+
+def _csv_cells(width: int):
+    """The renderer of a sweep row's last `width` cells as the rest of its CSV
+    line, ",".join(map(_fmt, cells)) + "\n".
+
+    The last two cells are the feasible and degenerate flags. A feasible,
+    non-degenerate row of floats is one %-format of the width's template;
+    any other row takes _fmt per cell, since '%.12g' prints a bool as 1 and
+    rejects None. No cell needs CSV quoting: a cell is a number, empty, true
+    or false.
     """
     n = width - 2
     template, floats = "%.12g," * n + "true,false\n", (float,) * n
-    return [template % row[:n]
-            if row[-1] is False and row[-2] is True and all(map(isinstance, row, floats))
-            else ",".join(map(_fmt, row)) + "\n"
-            for row in rows]
+
+    def render(cells: tuple) -> str:
+        if cells[-1] is False and cells[-2] is True and all(map(isinstance, cells, floats)):
+            return template % cells[:n]
+        return ",".join(map(_fmt, cells)) + "\n"
+    return render
 
 
 def _row(fields: dict, label: str = "", width: int = 4) -> str:
@@ -268,33 +275,30 @@ def _open_out(out: str):
         raise
 
 
-# Sweep rows are formatted a chunk at a time, not one by one between two
-# solves, so that formatting runs as one warm loop. In process, on a README
-# collinear sweep, that cut the time added over formatting the whole grid at
-# the end from 0.56 to 0.15 ms (medians of 150 alternations). A chunk holds
-# about 0.1 MB.
+# Sweep lines are joined and written 256 at a time: writing the README plane CSV's
+# 30,351 lines took 4.9 ms one write per line, 3.0 ms one per chunk (best of 9). A
+# chunk holds 23-31 kB.
 _CSV_CHUNK = 256
 
 
 def cmd_sweep(args) -> int:
     """Write the sweep's CSV to --out as its rows are solved, a chunk at a time.
 
-    The rows of sweep_rows go to the file as they come, with no record
-    built for them. Every input is checked before a file is opened, and a
-    failing sweep leaves a regular or absent --out as it was (see
+    The CSV lines of render_sweep go to the file as they come, with no
+    record built for them. Every input is checked before a file is opened,
+    and a failing sweep leaves a regular or absent --out as it was (see
     _open_out).
     """
     params = {name: getattr(args, name) for name in SWEEP_PARAMETERS
               if getattr(args, name) is not None}
-    rows = sweep_rows(args.kind, params)
-    columns = sweep_columns(args.kind)
+    lines = render_sweep(args.kind, params, _csv_coords, _csv_cells)
     with _open_out(args.out) as handle:
         # every column name is an identifier
-        handle.write(",".join(columns) + "\n")
-        chunk = list(itertools.islice(rows, _CSV_CHUNK))
+        handle.write(",".join(sweep_columns(args.kind)) + "\n")
+        chunk = "".join(itertools.islice(lines, _CSV_CHUNK))
         while chunk:
-            handle.writelines(_csv_lines(chunk, len(columns)))
-            chunk = list(itertools.islice(rows, _CSV_CHUNK))
+            handle.write(chunk)
+            chunk = "".join(itertools.islice(lines, _CSV_CHUNK))
     return EXIT_OK
 
 

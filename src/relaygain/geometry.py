@@ -11,13 +11,15 @@ evaluator (rate, resource or energy) and its CSV columns. sweep_rows()
 checks every input when it is called and returns a generator whose one
 loop walks the cartesian grid in row-major order (first axis outer),
 yielding each row, a flat tuple in CSV column order, as it is solved;
-sweep() is the list of their SweepRecords.
+sweep() is the list of their SweepRecords; render_sweep() yields each
+row as rendered parts, each repeated value rendered once (the CLI's CSV).
 For every kind the loop flags a point degenerate, without evaluating it,
 when the relay sits on an endpoint or a gain exceeds OVERFLOW_GAIN.
 Symmetric ranges are mirrored exactly so that rows at (x, y) and (x, -y)
-are bitwise identical. Repeated points of a row, mirrored ones included,
-are solved once. The NCP share reads only the direct links, so a rate
-sweep solves it once per (h23, k).
+are bitwise identical. Repeated points of a row segment, mirrored ones
+included, are solved once. The NCP share reads only the direct links, so
+a rate sweep solves it once per (h23, k) of its NCP table (see
+SEGMENT_POINTS).
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ OVERFLOW_GAIN = 1e12
 # The most points one sweep axis, and one sweep grid, may take; the largest README
 # axis has 981 and the largest grid 30,351.
 MAX_GRID_POINTS = 10 ** 6
+# Rows are walked in segments of at most this many points, repeats solved once per
+# segment (a README plane row, mirrored pairs and all, is 151). The NCP table is
+# emptied after each segment of a one-axis grid, and once a plane's table passes
+# NCP_TABLE_SHARES shares (the README plane's holds 8,743): so however long its
+# grid, a sweep holds its axis values, one segment and at most one table.
+SEGMENT_POINTS = 512
+NCP_TABLE_SHARES = 32 * SEGMENT_POINTS
 
 Point = tuple[float, float]
 
@@ -182,27 +191,31 @@ def _points(b12s, b23s, power: float, ks) -> list[tuple[float, float, float] | N
     return points
 
 
-def _gain_rows(axes: tuple[str, ...], grids: list[list[float]], fixed: dict):
-    """Per row of the inner axis: the outer coordinates, the inner values and
-    their points (see _points), each axis term computed once.
+def _segments(axes: tuple[str, ...], grids: list[list[float]], fixed: dict):
+    """Per segment of each row of the inner axis: the row's outer coordinates,
+    the segment's inner values and their points (see _points), each axis
+    term computed once.
 
     Plane gains raise squared distances to -eta/2: going through hypot
     would move some plane CSV values in the last printed digit. The sweep
     has already checked its inputs.
     """
-    eta, k = fixed["eta"], fixed.get("k")
+    eta, k, inner = fixed["eta"], fixed.get("k"), grids[-1]
+    spans = [slice(i, i + SEGMENT_POINTS) for i in range(0, len(inner), SEGMENT_POINTS)]
     if axes == ("x", "y"):
-        xs, ys = grids
-        yys = [y * y for y in ys]
-        for x in xs:
+        yys = [y * y for y in inner]
+        for x in grids[0]:
             s12, s23 = (x + 0.5) ** 2, (x - 0.5) ** 2
-            yield ((x,), ys, _points([s12 + v for v in yys], [s23 + v for v in yys], eta / 2.0,
-                                     itertools.repeat(k)))
+            for span in spans:
+                vs = yys[span]
+                yield ((x,), inner[span], _points([s12 + v for v in vs], [s23 + v for v in vs],
+                                                  eta / 2.0, itertools.repeat(k)))
         return
-    values = grids[0]
-    ds = values if axes == ("d",) else [fixed["d"]] * len(values)
-    ks = values if axes == ("k",) else itertools.repeat(k)
-    yield (), values, _points(ds, [1.0 - d for d in ds], eta, ks)
+    for span in spans:
+        values = inner[span]
+        ds = values if axes == ("d",) else [fixed["d"]] * len(values)
+        ks = values if axes == ("k",) else itertools.repeat(k)
+        yield (), values, _points(ds, [1.0 - d for d in ds], eta, ks)
 
 
 def _check_plane(xs: list[float], ys: list[float], eta: float) -> None:
@@ -235,7 +248,9 @@ def _check_plane(xs: list[float], ys: list[float], eta: float) -> None:
 # where absent.
 
 def _rate_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
-    eps, shares = fixed["epsilon"], ncp_table.setdefault(k, {})
+    eps, shares = fixed["epsilon"], ncp_table.get(k)
+    if shares is None:
+        shares = ncp_table[k] = {}
     ncp = shares.get(h23)
     if ncp is None:
         ncp = shares[h23] = _rates(k, 1.0, h23, eps, k)
@@ -315,8 +330,32 @@ def sweep_rows(kind: str, params: Mapping[str, float]) -> Iterator[tuple]:
     A row is a flat tuple in the order of sweep_columns(kind), None where
     a cell is empty; a degenerate row is empty but for its coordinates and
     is flagged feasible. A point whose gains and k equal those of a point
-    already solved in its row repeats that point's cells: an axis sets only
-    the gains or k, so every other input an evaluator reads is fixed.
+    already solved in its row segment repeats that point's cells: an axis
+    sets only the gains or k, so every other input an evaluator reads is
+    fixed.
+    """
+    return render_sweep(kind, params, _singles, _tuples)
+
+
+def _singles(values: list[float]) -> list[tuple[float]]:
+    return list(zip(values))
+
+
+def _tuples(width: int) -> Callable[[tuple], tuple]:
+    return tuple
+
+
+def render_sweep(kind: str, params: Mapping[str, float], coords: Callable,
+                 cells: Callable) -> Iterator:
+    """sweep_rows(kind, params), checked at call time, with each row rendered in parts.
+
+    Where sweep_rows yields (*outer, inner, *cells), this yields the sum of
+    the parts coords(outer)[0] (plane rows only), coords(inner axis)[i] and
+    cells(width)(cells): coords maps a list of coordinates to one part each,
+    and cells(width), called once per sweep, renders a row's `width` cells.
+    Parts support +, as tuples and strings do. The inner axis is rendered
+    once per sweep (per segment if longer than SEGMENT_POINTS), an outer
+    coordinate once per segment, a distinct point's cells once per segment.
     """
     if kind not in _KINDS:
         raise ValidationError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
@@ -345,27 +384,38 @@ def sweep_rows(kind: str, params: Mapping[str, float]) -> Iterator[tuple]:
         _check_positive("k", k)
     if "x" in axis:
         _check_plane(axis["x"], axis["y"], fixed["eta"])
-    return _walk(spec, grids, fixed)
+    return _walk(spec, grids, fixed, coords, cells)
 
 
-def _walk(spec: _Kind, grids: list[list[float]], fixed: dict) -> Iterator[tuple]:
-    """The rows of sweep_rows' checked grid, one per point."""
-    evaluate, listed = spec.evaluate, "h12" in spec.extras
-    degenerate = (None,) * (1 + len(spec.extras)) + (True, True)
+def _walk(spec: _Kind, grids: list[list[float]], fixed: dict, coords: Callable,
+          cells: Callable) -> Iterator:
+    """The rows of render_sweep's checked grid, one per point."""
+    evaluate, inner = spec.evaluate, grids[-1]
+    listed = slice(2 if "h12" in spec.extras else 0)  # the gains a row lists, if any
+    cells = cells(3 + len(spec.extras))
+    degenerate = cells((None,) * (1 + len(spec.extras)) + (True, True))
+    # rendered by position: a value-keyed memo would merge 0.0 and -0.0
+    labels = coords(inner) if len(inner) <= SEGMENT_POINTS else None
     ncp_table = {}
-    for prefix, inner, points in _gain_rows(spec.axes, grids, fixed):
+    for prefix, values, points in _segments(spec.axes, grids, fixed):
+        row = labels or coords(values)
+        if prefix:
+            head, = coords(prefix)
+            row = [head + label for label in row]
         solved = {}
-        for c, point in zip(inner, points):
+        for label, point in zip(row, points):
             if point is None:
-                yield (*prefix, c, *degenerate)
+                yield label + degenerate
                 continue
-            cells = solved.get(point)
-            if cells is None:
+            part = solved.get(point)
+            if part is None:
                 value, *rest = evaluate(*point, fixed, ncp_table)
-                if listed:
-                    rest = (*point[:2], *rest)
-                cells = solved[point] = (value, *rest, value is not None, False)
-            yield (*prefix, c, *cells)
+                part = solved[point] = cells((value, *point[listed], *rest, value is not None,
+                                              False))
+            yield label + part
+        # a one-axis grid is one row: no later row reads its shares
+        if not prefix or sum(map(len, ncp_table.values())) > NCP_TABLE_SHARES:
+            ncp_table.clear()
 
 
 def sweep(kind: str, params: Mapping[str, float]) -> list[SweepRecord]:

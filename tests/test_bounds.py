@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from relaygain import (LinkGains, OperatingPoint, collaboration_gain, cp_allocate,
-                       cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
-                       low_tern_gain_limit, ncp_allocate, ncp_bounds_high_tern,
-                       ncp_bounds_low_tern, small_k_gain_slope)
+from relaygain import (BoundPair, LinkGains, OperatingPoint, collaboration_gain,
+                       cp_allocate, cp_bounds_high_tern, cp_bounds_low_tern,
+                       high_tern_gain_limit, low_tern_gain_limit, ncp_allocate,
+                       ncp_bounds_high_tern, ncp_bounds_low_tern, small_k_gain_slope)
 from relaygain.allocation import _rates
 from relaygain.bounds import _tangent_construction, _tangent_gap
 import relaygain.verify as verify
@@ -186,6 +186,16 @@ class TestSandwichGrid:
         assert sandwich_violations() == (7500, 0)
         assert calls == {"ncp": 375, "cp": 375}
 
+    def test_slack_is_relative_to_the_exact_rate(self, monkeypatch):
+        # an NCP upper 1e-10 below the exact rate: an absolute slack of 1e-9
+        # forgave it wherever the rate is below 10 nats, most of the grid
+        def short_upper(gains, op):
+            exact = _rates(op.k, gains.h13, gains.h23, op.epsilon, op.k)[1]
+            return BoundPair(0.0, exact * (1.0 - 1e-10))
+
+        monkeypatch.setattr(verify, "ncp_bounds_high_tern", short_upper)
+        assert sandwich_violations() == (7500, 1875)
+
 
 class TestInequalitySurvey:
     def test_each_base_rate_solved_once_per_input_it_reads(self, monkeypatch):
@@ -217,6 +227,23 @@ class TestLimits:
         # ln(1+x) ~ x makes the slope approach h23/h13
         assert small_k_gain_slope(LinkGains(1, 1e-4, 2), 1.0) == pytest.approx(
             2.0 / 1e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("gains, eps", [
+        # h13*eps underflows to 0: the slope divided by zero
+        ((1.0, 1e-300, 1.0), 1e-30),
+        # h13*eps is subnormal: ln(1 + h13*eps) kept 8 digits, the slope read 10000000015.18
+        ((1.0, 1e-160, 1e-150), 1e-155),
+        ((1.0, 1e-300, 1.0), 1e-10),
+        # h23*eps is subnormal, h13*eps normal
+        ((1.0, 1.0, 1e-300), 1e-10),
+    ])
+    def test_small_k_slope_where_a_product_is_not_normal(self, gains, eps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            h13, h23, e = (mpmath.mpf(v) for v in (gains[1], gains[2], eps))
+            exact = h23 * e / mpmath.log1p(h13 * e)
+        slope = small_k_gain_slope(LinkGains(*gains), eps)
+        assert abs(slope - exact) <= 2 ** -52 * abs(exact)
 
     def test_small_k_slope_matches_solver(self):
         slope = small_k_gain_slope(ONES, 1.0)
@@ -315,8 +342,8 @@ class TestOverflow:
             bound(gains, op)
 
     @pytest.mark.parametrize("call, args", [
-        # ln(1 + h13*eps) underflows to 0: the slope divided by zero
-        pytest.param(small_k_gain_slope, (LinkGains(1, 1e-300, 1), 1e-30), id="slope_run"),
+        # h13*eps underflows to 0, and the slope h23/h13 overflows
+        pytest.param(small_k_gain_slope, (LinkGains(1, 1e-300, 1e10), 1e-30), id="slope_run"),
         # h23*eps overflows: the slope was inf
         pytest.param(small_k_gain_slope, (LinkGains(1, 1, 1e300), 1e10), id="slope_rise"),
         pytest.param(low_tern_gain_limit, (LinkGains(1e300, 1e-300, 1e300), 1.0),

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -12,9 +13,10 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relaygain.cli import _csv_lines, _fmt, main
+from relaygain import geometry, verify
+from relaygain.cli import _csv_cells, _csv_coords, _fmt, main
 from relaygain.errors import ValidationError
-from relaygain.geometry import sweep_rows
+from relaygain.geometry import render_sweep, sweep_rows
 
 ONES_SCENARIO = {
     "gains": {"h12": 1.0, "h13": 1.0, "h23": 1.0},
@@ -492,13 +494,88 @@ class TestSweepCommand:
     @example([0.5, 1.0], [True, True])
     def test_csv_cells_match_per_value_format(self, cells, flags):
         row = (*cells, *flags)
-        assert _csv_lines([row], len(row)) == [",".join(map(_fmt, row)) + "\n"]
+        assert _csv_cells(len(row))(row) == ",".join(map(_fmt, row)) + "\n"
+
+    @given(st.lists(CSV_FLOATS, max_size=3))
+    @example([-0.0, 0.0])
+    def test_csv_coords_match_per_value_format(self, coords):
+        assert _csv_coords(coords) == [_fmt(v) + "," for v in coords]
 
     def test_resource_row_flags_never_reach_the_template(self):
-        # a feasible resource row: ncp_feasible and cp_feasible are bools
-        # among floats, which '%.12g' would print as 1
-        row = (0.5, 1.25, 8.0, 8.0, True, True, 0.75, 0.6, True, False)
-        assert _csv_lines([row], len(row)) == ["0.5,1.25,8,8,true,true,0.75,0.6,true,false\n"]
+        # a feasible resource row's cells: ncp_feasible and cp_feasible are
+        # bools among floats, which '%.12g' would print as 1
+        cells = (1.25, 8.0, 8.0, True, True, 0.75, 0.6, True, False)
+        assert _csv_cells(len(cells))(cells) == "1.25,8,8,true,true,0.75,0.6,true,false\n"
+
+    # One small grid per sweep kind with a degenerate point (the relay on an
+    # endpoint, or h12 past OVERFLOW_GAIN) where the kind has one, and
+    # infeasible resource_ratio points; and grids longer than a segment
+    LINE_GRIDS = {
+        "plane_gain": {"x_min": -0.5, "x_max": 0.5, "x_step": 0.25, "y_min": -0.5,
+                       "y_max": 0.5, "y_step": 0.25, "epsilon": 0.01, "k": 1.0, "eta": 2.0},
+        "collinear_gain": {"d_min": 5e-6, "d_max": 0.500005, "d_step": 0.125,
+                           "epsilon": 0.01, "k": 1.0, "eta": 3.0},
+        "rate_ratio": {"k_min": 0.5, "k_max": 2.0, "k_step": 0.5, "d": 0.5, "epsilon": 0.01,
+                       "eta": 3.0},
+        "resource_ratio": {"d_min": 5e-6, "d_max": 0.900005, "d_step": 0.1, "epsilon": 0.01,
+                           "k": 1.0, "eta": 3.0, "rate": 0.008},
+        "energy_ratio": {"d_min": 5e-6, "d_max": 0.700005, "d_step": 0.1, "k": 1.0,
+                         "eta": 3.0, "rate": 0.01},
+        # 2 rows of 1,101 points, 3 segments each, mirrored by y
+        "plane_gain long rows": {"x_min": -0.5, "x_max": 0.5, "x_step": 1.0, "y_min": -0.55,
+                                 "y_max": 0.55, "y_step": 0.001, "epsilon": 0.01, "k": 1.0,
+                                 "eta": 2.0},
+        "collinear_gain 3 segments": {"d_min": 5e-6, "d_max": 0.999, "d_step": 0.0008,
+                                      "epsilon": 0.01, "k": 1.0, "eta": 3.0},
+    }
+
+    @pytest.mark.parametrize("case", sorted(LINE_GRIDS))
+    def test_csv_lines_match_rows_format(self, case, tmp_path):
+        kind, params = case.split()[0], self.LINE_GRIDS[case]
+        rows = list(sweep_rows(kind, params))
+        lines = [",".join(map(_fmt, row)) + "\n" for row in rows]
+        assert list(render_sweep(kind, params, _csv_coords, _csv_cells)) == lines
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--kind", kind, "--out", str(out)]
+        for name, value in params.items():
+            argv.append(f"--{name.replace('_', '-')}={value!r}")
+        assert main(argv) == 0
+        text = out.read_text()
+        assert text == ",".join(geometry.sweep_columns(kind)) + "\n" + "".join(lines)
+        flags = [row[-2:] for row in rows]
+        assert (True, True) in flags or kind == "rate_ratio"
+        assert (False, False) in flags or kind != "resource_ratio"
+
+    @pytest.mark.parametrize("case", sorted(LINE_GRIDS))
+    def test_segments_do_not_move_rows(self, case, monkeypatch):
+        kind, params = case.split()[0], self.LINE_GRIDS[case]
+        rows = list(sweep_rows(kind, params))
+        monkeypatch.setattr(geometry, "SEGMENT_POINTS", 10 ** 6)
+        assert list(sweep_rows(kind, params)) == rows
+
+    def test_plane_renders_each_distinct_point_once_per_row(self):
+        # three README plane rows, away from both endpoints: 151 points, 76
+        # distinct up to the y mirror
+        coords, cells = [], []
+
+        def counting_coords(values):
+            coords.extend(values)
+            return _csv_coords(values)
+
+        def counting_cells(width):
+            render = _csv_cells(width)
+            return lambda values: cells.append(values) or render(values)
+
+        rows = render_sweep("plane_gain", {
+            "x_min": -1.0, "x_max": 1.0, "x_step": 1.0, "y_min": -0.75, "y_max": 0.75,
+            "y_step": 0.01, "epsilon": 0.01, "k": 0.1, "eta": 3.0},
+            counting_coords, counting_cells)
+        assert len(list(rows)) == 3 * 151
+        # the degenerate cells once per sweep, then 76 per row
+        assert len(cells) == 1 + 3 * 76
+        assert all(row[-1] is False for row in cells[1:])
+        # each y once per sweep, each row's x once
+        assert len(coords) == 151 + 3
 
     def test_csv_deterministic_across_runs(self, tmp_path):
         args = ["sweep", "--kind", "plane_gain", "--x-min", "-0.4", "--x-max", "0.4",
@@ -600,6 +677,28 @@ class TestSweepCommand:
         assert rows == 101 * 76
         assert peak < 150 * rows
 
+    def test_one_axis_rows_stream_to_the_file(self, tmp_path):
+        """A one-axis grid is one row, walked in segments of SEGMENT_POINTS
+        points: over ten of them the command's peak traced memory stays
+        below 150 B per row, where holding the row's points, its memo and
+        its NCP table took about 520 B per row."""
+        argv = ["sweep", "--kind", "collinear_gain", "--d-min", "1e-4", "--d-max", "0.9999",
+                "--d-step", "0.0002", "--epsilon", "0.01", "--k", "1", "--eta", "2"]
+        warm = [*argv, "--out", str(tmp_path / "warm.csv")]
+        warm[8] = "0.1"
+        assert main(warm) == 0
+        out = tmp_path / "collinear.csv"
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        rows = len(out.read_bytes().splitlines()) - 1
+        assert rows == 5000 > 9 * geometry.SEGMENT_POINTS
+        assert peak < 150 * rows
+
     def test_out_keeps_its_mode(self, tmp_path):
         out = tmp_path / "private.csv"
         out.write_bytes(b"old\n")
@@ -676,6 +775,21 @@ class TestVerifyCommand:
     def test_sandwich_suite_passes(self, capsys):
         assert main(["verify", "--suite", "sandwich"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_each_bound_pair_computed_once_per_input_it_reads(self, monkeypatch, capsys):
+        # NCP pairs read (h13, h23, eps, k) and CP pairs (h12, h23, eps, k):
+        # 25 gain pairs x 5 eps x 3 k each
+        calls = collections.Counter()
+        for name in ("ncp_bounds_high_tern", "ncp_bounds_low_tern", "cp_bounds_high_tern",
+                     "cp_bounds_low_tern"):
+            def counting(gains, op, _name=name, _bound=getattr(verify, name)):
+                calls[_name] += 1
+                return _bound(gains, op)
+            monkeypatch.setattr(verify, name, counting)
+        assert main(["verify", "--suite", "sandwich"]) == 0
+        assert "7500 bound evaluations, 0 violations" in capsys.readouterr().out
+        assert calls == {"ncp_bounds_high_tern": 375, "ncp_bounds_low_tern": 375,
+                         "cp_bounds_high_tern": 375, "cp_bounds_low_tern": 375}
 
     def test_all_suite_aggregates(self, capsys):
         assert main(["verify", "--suite", "all"]) == 0

@@ -177,11 +177,11 @@ class TestCliBindings:
     def test_wrapper_set_before_main_stays_in_place(self, tmp_path, monkeypatch):
         calls = []
 
-        def counting(kind, params):
+        def counting(kind, params, coords, cells):
             calls.append(kind)
-            return geometry.sweep_rows(kind, params)
+            return geometry.render_sweep(kind, params, coords, cells)
 
-        monkeypatch.setattr(cli, "sweep_rows", counting)
+        monkeypatch.setattr(cli, "render_sweep", counting)
         rc = cli.main(["sweep", "--kind", "collinear_gain", "--d-min", "0.2", "--d-max", "0.8",
                        "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "2",
                        "--out", str(tmp_path / "sweep.csv")])
