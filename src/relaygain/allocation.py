@@ -83,7 +83,8 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
         width = hi - lo
         for n in range(1, max_evals + 1):
             x = mid
-            if n % 3 or hi - lo <= 0.5 * width:
+            third = n % 3
+            if third or hi - lo <= 0.5 * width:
                 t = f_lo / (f_lo - f_hi)
                 if 0.0 < t <= 0.5:
                     x = lo + (hi - lo) * t
@@ -93,7 +94,8 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
                     x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
                     if x >= hi:
                         x = math.nextafter(hi, lo)
-            fx = kappa * x * log1p(chord1 / x) - (1.0 - x) * log1p(chord2 / (1.0 - x))
+            y = 1.0 - x
+            fx = kappa * x * log1p(chord1 / x) - y * log1p(chord2 / y)
             if fx == 0.0:
                 return x
             if fx != fx:
@@ -108,7 +110,7 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
                 if kept > 0:
                     f_lo *= 0.5
                 kept = 1
-            if n % 3 == 0:
+            if not third:
                 width = hi - lo
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:

@@ -18,8 +18,9 @@ zero (rates are nonnegative). The brackets do not hold for every eps:
   h_a*eps - h_a^2*eps^2/(2*beta) cancels: by up to ~4e-5 relative over
   wide seeded draws (gains e^+-10, eps e^+-25, k e^+-5), and never over
   the ranges of the benchmark's flows and of verify's grids. Where
-  eps*h_a^2/2 underflows the peak share is 0, and where the discriminant
-  overflows it is inf: both are a ValidationError, not a bound;
+  eps*h_a^2/2 underflows the peak share is 0, a ValidationError rather
+  than a bound. A discriminant that overflows from finite coefficients
+  is taken from the coefficients scaled by a power of two;
 * the high-TERN pair and the low-TERN upper bound showed no violation in
   those draws. A high-TERN chord that overflows is a ValidationError
   rather than a NaN upper, but where k*h23*eps underflows to 0 the
@@ -112,9 +113,12 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
     f(b) = (h_b - h_a) b^2 + (eps*(h_a^2 + kappa*h_b^2)/2 + h_a - h_b) b - eps*h_a^2/2
     has f(0) < 0 < f(1) = eps*kappa*h_b^2/2, so one root lies in (0, 1). With the
     stable q = -(lin + sign(lin)*sqrt(D))/2 it is const/q where lin >= 0, else q/quad
-    (f(1) > 0 forces quad > 0, so the other root is negative). Returns (beta,
-    parabola value, degenerate flag). A share of 0 (underflow) or inf (D overflows)
-    raises; a NaN share comes from an infinite curvature term and clamps to lower 0.
+    (f(1) > 0 forces quad > 0, so the other root is negative). Where D overflows
+    to inf, the coefficients are scaled first by the power of two that brings the
+    largest into [1/2, 1), which leaves the root as it is. Returns (beta, parabola
+    value, degenerate flag). A share of 0 (underflow) or inf (an infinite
+    coefficient) raises; a NaN share, from an infinite curvature term or from
+    D = inf - inf, clamps to lower 0.
     """
     quad = h_b - h_a
     lin = 0.5 * eps * (h_a * h_a + kappa * h_b * h_b) + h_a - h_b
@@ -126,7 +130,14 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
                                   f"eps={eps!r} underflows to 0")
         beta = -const / lin
     else:
-        disc = math.sqrt(max(lin * lin - 4.0 * quad * const, 0.0))
+        d = lin * lin - 4.0 * quad * const
+        if d == math.inf:
+            # scaled, lin*lin and 4*quad*const stay below 4; an infinite coefficient
+            # has frexp exponent 0 and is left as it is
+            e = -math.frexp(max(abs(quad), abs(lin), abs(const)))[1]
+            quad, lin, const = math.ldexp(quad, e), math.ldexp(lin, e), math.ldexp(const, e)
+            d = lin * lin - 4.0 * quad * const
+        disc = math.sqrt(max(d, 0.0))
         q = -0.5 * (lin + math.copysign(disc, lin))
         beta = q / quad if lin < 0.0 else const / q if q else 0.0
     if beta == 0.0 or beta == math.inf:

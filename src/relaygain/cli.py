@@ -208,9 +208,10 @@ def report_placement(sc, args):
 def cmd_report(args) -> int:
     """Shared path of the scenario subcommands: load, report, print in --format.
 
-    args.report(scenario, args) returns the JSON payload and the text rows.
+    The report function named by args.report, called as report(scenario, args),
+    returns the JSON payload and the text rows.
     """
-    payload, lines = args.report(load_scenario(args.scenario), args)
+    payload, lines = globals()[args.report](load_scenario(args.scenario), args)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -314,7 +315,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+# main's parser, built on its first call
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. Each subcommand names the function that runs it (func) and,
+    for the scenario reports, the report function (report): main looks both up in
+    this module's globals at dispatch, so a wrapper set on one after the parser was
+    built still runs."""
     parser = argparse.ArgumentParser(
         prog="relaygain",
         description="Collaboration gains, bounds and relay selection for "
@@ -325,17 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func=cmd_report, report=report, needs=needs)
+        p.set_defaults(func="cmd_report", report=report, needs=needs)
         return p
 
-    add_report("gain", report_gain, "optimal allocations for both protocols and the rate gain")
-    add_report("energy", report_energy, "minimal TERN for a demanded rate and the energy gain")
-    add_report("resource", report_resource, "per-user resource usage for a demanded rate")
-    add_report("bounds", report_bounds, "closed-form rate brackets and asymptotic limits",
+    add_report("gain", "report_gain", "optimal allocations for both protocols and the rate gain")
+    add_report("energy", "report_energy", "minimal TERN for a demanded rate and the energy gain")
+    add_report("resource", "report_resource", "per-user resource usage for a demanded rate")
+    add_report("bounds", "report_bounds", "closed-form rate brackets and asymptotic limits",
                ("bounds",))
-    add_report("placement", report_placement, "geometry report for a placement scenario",
+    add_report("placement", "report_placement", "geometry report for a placement scenario",
                ("geometry",))
-    p = add_report("select", report_select, "relay selection (single scenario or flow batch)",
+    p = add_report("select", "report_select", "relay selection (single scenario or flow batch)",
                    ("selection",))
     p.add_argument("--mode", choices=("rate", "resource"), default="rate")
 
@@ -345,24 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in SWEEP_PARAMETERS:
         p.add_argument("--" + flag.replace("_", "-"), type=float, default=None,
                        dest=flag)
-    p.set_defaults(func=cmd_sweep, needs=("geometry",))
+    p.set_defaults(func="cmd_sweep", needs=("geometry",))
 
     p = sub.add_parser("verify", help="run the numerical self-check suites")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.set_defaults(func=cmd_verify, needs=("verify",))
+    p.set_defaults(func="cmd_verify", needs=("verify",))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     for module in args.needs:
         _bind(module)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -32,7 +32,8 @@ branch of the Lambert W function (Corless et al., Adv. Comput. Math. 5,
 root falls onto it monotonically, in about 4 steps; more than
 _SLOT_NEWTON_CAP raise IterationLimitError. For r > 1/2 it starts from
 3(1-r)/r, and the chord is carried exactly as a two-product (Dekker, Numer.
-Math. 18, 1971), scaled into [1/4, 1) by a power of two, so 1 - r is exact;
+Math. 18, 1971), scaled into [1/4, 1) by a power of two, so 1 - r is exact
+(only this start forms the product's error term);
 g is evaluated as x*((log1p(x)/x - 1) + (1 - r)), by a series below
 x = 0.05, and beta = c/x. Otherwise the same Newton runs in u = r*x, which
 is ln(1 + x) at the root and cannot overflow, from L + ln(L+1) + 1 with
@@ -41,7 +42,10 @@ within 6e-16 relative for r up to 1/2 and for 1 - r from 1e-11 to 0.02, and
 within 4e-15 in between, where log1p(x)/x - 1 still cancels. A share
 outside the normal float range is a ValidationError. Since x only falls
 from its start, the share at the start bounds the slot from below
-(_slot_bound); resource selection prunes options with it.
+(_slot_bound); resource selection prunes options with it. The start
+(_slot_start) is computed once per slot: selection takes an option's bound
+from it and, if it solves the option, hands the same start to _solve_slot,
+which computes a start itself only when given none.
 """
 
 from __future__ import annotations
@@ -302,16 +306,18 @@ def _slot_start(h: float, eps_user: float,
                 target: float) -> tuple[float, float, float, float, float, int]:
     """Newton's start for a slot whose target lies below its chord: (x0, r, a, c, c_lo, e).
 
-    The chord is (c + c_lo) * 2**e exactly, with c in [1/4, 1), and r = target/chord.
+    The chord is h*eps_user = c * 2**e with c in [1/4, 1), and r = target/chord.
     For r <= 1/2 Newton runs in u = r*x, x0 = L + ln(L+1) + 1 and a = L = ln(1/r);
-    otherwise it runs in x, x0 = 3q/r and a = q = 1 - r. Either start lies right of
-    the root.
+    c_lo is 0 there, and only x0, r and a are read. Otherwise it runs in x,
+    x0 = 3q/r and a = q = 1 - r, and the chord is (c + c_lo) * 2**e exactly.
+    Either start lies right of the root.
     """
-    # the scaled two-product neither under- nor overflows, and target scaled alike
+    # the scaled product neither under- nor overflows, and target scaled alike
     # stays below 1
     m_h, e_h = math.frexp(h)
     m_eps, e_eps = math.frexp(eps_user)
-    c, c_lo = _two_product(m_h, m_eps)
+    # c is the two-product's rounded part; only r > 1/2 reads its error term
+    c = m_h * m_eps
     e = e_h + e_eps
     # a TERN k*eps that overflowed to inf has frexp (inf, 0) and leaves r = 0
     t_scaled = math.ldexp(target, -e) if c < math.inf else 0.0
@@ -325,22 +331,23 @@ def _slot_start(h: float, eps_user: float,
             log_inv_r = math.log(h) + math.log(eps_user) - math.log(target)
         else:
             log_inv_r = math.inf
-        return log_inv_r + math.log(log_inv_r + 1.0) + 1.0, r, log_inv_r, c, c_lo, e
+        return log_inv_r + math.log(log_inv_r + 1.0) + 1.0, r, log_inv_r, c, 0.0, e
+    _, c_lo = _two_product(m_h, m_eps)
     # c - t_scaled is exact (Sterbenz), so q = 1 - r carries no rounding of the chord
     q = ((c - t_scaled) + c_lo) / c
     return 3.0 * q / r, r, q, c, c_lo, e
 
 
-def _slot_bound(h: float, eps_user: float, target: float) -> float:
+def _slot_bound(h: float, eps_user: float, target: float, start=None) -> float:
     """A lower bound on _solve_slot(h, eps_user, target) for a target below its chord:
     the share that _solve_slot would return at Newton's start, +inf where that
-    overflows.
+    overflows. `start` is _slot_start(h, eps_user, target), computed here if not given.
 
     _descend only lowers x from the start, and the share falls as x rises. For
     r > 1/2 the start is at least 1.19 times the root, far beyond the rounding of
     c_lo/x, which may fall as x does.
     """
-    x0, r, _, c, c_lo, e = _slot_start(h, eps_user, target)
+    x0, r, _, c, c_lo, e = _slot_start(h, eps_user, target) if start is None else start
     if r <= 0.5:
         return target / x0
     try:
@@ -349,18 +356,19 @@ def _slot_bound(h: float, eps_user: float, target: float) -> float:
         return math.inf
 
 
-def _solve_slot(h: float, eps_user: float, target: float) -> float:
+def _solve_slot(h: float, eps_user: float, target: float, start=None) -> float:
     """beta in (0, inf) with beta * ln(1 + h*eps_user/beta) = target.
 
     With r = target/chord and x = chord/beta the equation is log1p(x) = r*x,
     solved by monotone Newton (_descend, at most _SLOT_NEWTON_CAP steps) from
-    _slot_start: in x for r > 1/2, and in u = r*x, which cannot overflow, otherwise.
+    `start`, _slot_start(h, eps_user, target), computed here if not given: in x
+    for r > 1/2, and in u = r*x, which cannot overflow, otherwise.
     Raises ValidationError when beta lies outside the normal float range.
     """
     chord = h * eps_user
     if not target < chord:
         raise InfeasibleRateError("slot", target, chord, "target", "chord")
-    x0, r, a, c, c_lo, e = _slot_start(h, eps_user, target)
+    x0, r, a, c, c_lo, e = _slot_start(h, eps_user, target) if start is None else start
     if r <= 0.5:
         beta = target / _descend(_step_low, x0, r, a)
     else:

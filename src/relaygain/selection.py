@@ -22,8 +22,10 @@ depends on its downlink, so direct-transmission options are costed per
 candidate pair. The shares at an option's two Newton starts bound its total
 from below (energy._slot_bound). Options are solved in ascending bound
 order until the next bound exceeds the best total, when no remaining option
-can win or tie; user 1's slot and its bound are taken once per first-hop
-gain, so once for all NCP pairs. The decision is the one solving every
+can win or tie. Each start is computed once (energy._slot_start) and serves
+both the bound and the solve: user 1's start, bound and slot once per
+first-hop gain, so once for all NCP pairs, and each partner's start once
+per option. The decision is the one solving every
 option gives. A slot error is the one the first failing option in
 candidate order raises; an option pruned by its bound is never solved, so
 its slot cannot fail the selection. The violations of NoFeasibleOptionError
@@ -38,7 +40,7 @@ from typing import NamedTuple
 from .allocation import _gain, _rates
 # unused here; bench/spans.py hooks the gain where this module binds it
 from .allocation import collaboration_gain  # noqa: F401
-from .energy import _pair_slots, _shortfall, _slot_bound, _solve_slot
+from .energy import _pair_slots, _shortfall, _slot_bound, _slot_start, _solve_slot
 from .errors import NoFeasibleOptionError, RelayGainError, ValidationError
 from .model import Flow, OperatingPoint, Protocol, RelayCandidate, _check_positive
 
@@ -146,20 +148,26 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
         return SelectionDecision(Protocol.NCP, None, _solve_slot(h_sd, eps, rate),
                                  high_tern_advisory=_advisory(op, h_sd))
 
-    # user 1's slot depends only on its first-hop gain: its bound and value are taken once per gain
-    bounds: dict[float, float] = {}
+    # user 1's slot depends only on its first-hop gain: its Newton start, bound and
+    # value are taken once per gain; each partner's start serves its bound and its solve
+    firsts: dict[float, tuple[tuple, float]] = {}
     slots: dict[float, float] = {}
-    options: list[tuple[float, int, str, Protocol, RelayCandidate, float, float]] = []
+    options: list[tuple[float, int, str, Protocol, RelayCandidate, float, float, tuple]] = []
     failed: list[tuple[Protocol, str, tuple[str, float, str, float]]] = []
+    # the partner's TERN, and its target k*rate under NCP, (k + 1)*rate under CP
+    partner_eps, targets = k * eps, (k * rate, (k + 1.0) * rate)
     for cand in sorted(candidates, key=lambda c: c.id):
-        for rank, protocol, h_first, kappa in ((0, Protocol.NCP, h_sd, k),
-                                                (1, Protocol.CP, cand.h_sr, k + 1.0)):
+        for rank, protocol, h_first in ((0, Protocol.NCP, h_sd), (1, Protocol.CP, cand.h_sr)):
             shortfall = _shortfall(protocol, h_first, cand.h_rd, eps, k, rate)
             if shortfall is None:
-                if h_first not in bounds:
-                    bounds[h_first] = _slot_bound(h_first, eps, rate)
-                options.append((bounds[h_first] + _slot_bound(cand.h_rd, k * eps, kappa * rate),
-                                rank, cand.id, protocol, cand, h_first, kappa))
+                if h_first not in firsts:
+                    start = _slot_start(h_first, eps, rate)
+                    firsts[h_first] = start, _slot_bound(h_first, eps, rate, start=start)
+                target = targets[rank]
+                start = _slot_start(cand.h_rd, partner_eps, target)
+                options.append((firsts[h_first][1]
+                                + _slot_bound(cand.h_rd, partner_eps, target, start=start),
+                                rank, cand.id, protocol, cand, h_first, target, start))
             else:
                 failed.append((protocol, cand.id, shortfall))
     if not options:
@@ -172,19 +180,19 @@ def select_relay_resource(h_sd: float, candidates: list[RelayCandidate] | tuple[
     # total, no option left can win or tie it
     best = None
     try:
-        for bound, rank, cand_id, protocol, cand, h_first, kappa in sorted(options):
+        for bound, rank, cand_id, protocol, cand, h_first, target, start in sorted(options):
             if best is not None and bound > best[0]:
                 break
             if h_first not in slots:
-                slots[h_first] = _solve_slot(h_first, eps, rate)
-            option = (slots[h_first] + _solve_slot(cand.h_rd, k * eps, kappa * rate),
+                slots[h_first] = _solve_slot(h_first, eps, rate, start=firsts[h_first][0])
+            option = (slots[h_first] + _solve_slot(cand.h_rd, partner_eps, target, start=start),
                       rank, cand_id, protocol, cand)
             if best is None or option < best:
                 best = option
     except RelayGainError:
         # raise the error of the first failing option in candidate order, whichever
         # failing option the bounds reached first
-        for _, _, _, protocol, cand, h_first, _ in options:
+        for _, _, _, protocol, cand, h_first, _, _ in options:
             _pair_slots(protocol, h_first, cand.h_rd, eps, k, rate)
         raise
     total, _, _, protocol, cand = best

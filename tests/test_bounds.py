@@ -9,7 +9,7 @@ from relaygain import (BoundPair, LinkGains, OperatingPoint, collaboration_gain,
                        high_tern_gain_limit, low_tern_gain_limit, ncp_allocate,
                        ncp_bounds_high_tern, ncp_bounds_low_tern, small_k_gain_slope)
 from relaygain.allocation import _rates
-from relaygain.bounds import _tangent_construction, _tangent_gap
+from relaygain.bounds import _parabola_peak, _tangent_construction, _tangent_gap
 import relaygain.verify as verify
 from relaygain.errors import RelayGainError, ValidationError
 from relaygain.verify import GRID_EPS, GRID_GAINS, GRID_K, sandwich_violations
@@ -324,11 +324,42 @@ class TestUnderflow:
 
 
 class TestOverflow:
-    def test_overflowing_discriminant_rejected(self):
-        # lin^2 overflows, so the peak share q/quad would be inf and the lower
-        # user 1's whole chord, above the upper
-        with pytest.raises(ValidationError, match="parabola peak share at eps=1e-10 overflows"):
-            ncp_bounds_low_tern(LinkGains(1, 1, 1e200), OperatingPoint(1e-10, 1e-300))
+    @pytest.mark.parametrize("bound, gains, op", [
+        # lin^2 overflows; the share lies 5e-111 below 1 and rounds to 1
+        pytest.param(ncp_bounds_low_tern, LinkGains(1, 1, 1e200), OperatingPoint(1e-10, 1e-300),
+                     id="ncp_share_rounds_to_1"),
+        pytest.param(ncp_bounds_low_tern, LinkGains(1, 1e100, 1e200),
+                     OperatingPoint(1e-100, 1e-100), id="ncp_interior"),
+        # 4*quad*const overflows as well
+        pytest.param(cp_bounds_low_tern, LinkGains(2e100, 1, 3e100), OperatingPoint(1e-40, 1.0),
+                     id="cp_interior"),
+    ])
+    def test_overflowing_discriminant_is_scaled(self, bound, gains, op):
+        """Where D overflows, the peak share is the root of the coefficients scaled by a
+        power of two, within 1e-15 of the 50-digit root of the unscaled ones."""
+        mpmath = pytest.importorskip("mpmath")
+        eps, k = op.epsilon, op.k
+        if bound is ncp_bounds_low_tern:
+            args = gains.h13, gains.h23, eps, k
+        else:
+            args = gains.h12, k * gains.h23 / (k + 1.0), eps, k + 1.0
+        h_a, h_b, _, kappa = args
+        lin = 0.5 * eps * (h_a * h_a + kappa * h_b * h_b) + h_a - h_b
+        assert abs(lin) < math.inf and lin * lin == math.inf
+        beta = _parabola_peak(*args)[0]
+        with mpmath.workdps(50):
+            h_a, h_b, eps, kappa = (mpmath.mpf(v) for v in args)
+            quad = h_b - h_a
+            lin = eps * (h_a * h_a + kappa * h_b * h_b) / 2 + h_a - h_b
+            const = -eps * h_a * h_a / 2
+            q = -(lin + mpmath.sign(lin) * mpmath.sqrt(lin * lin - 4 * quad * const)) / 2
+            root = q / quad if lin < 0 else const / q
+            # 50 digits round the share of ncp_share_rounds_to_1 to 1
+            assert 0 < root <= 1
+            assert abs(beta - root) <= 1e-15 * root
+        pair = bound(gains, op)
+        assert pair.beta_at_bound == (beta if beta < 1.0 else None)
+        assert pair.lower <= pair.upper
 
     @pytest.mark.parametrize("bound", [ncp_bounds_high_tern, cp_bounds_high_tern])
     @pytest.mark.parametrize("gains, op", [

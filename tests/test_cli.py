@@ -280,6 +280,27 @@ def test_parser_rejects_unknown_choice(capsys, monkeypatch, case):
     assert capsys.readouterr() == ("", err)
 
 
+def test_parser_is_built_once_and_dispatch_reads_the_module(tmp_path, capsys, monkeypatch):
+    """main builds its parser on the first call only, and looks the subcommand's
+    function up when it dispatches: a wrapper set after the build still runs."""
+    import relaygain.cli as cli
+    builds, swept = [], []
+    build_parser = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    assert main(["sweep", "--kind", "nope", "--out", str(tmp_path / "a.csv")]) == 2
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: swept.append(args.kind) or 0)
+    assert main(["sweep", "--kind", "plane_gain", "--out", str(tmp_path / "b.csv")]) == 0
+    assert builds == [1]
+    assert swept == ["plane_gain"]
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
 class TestGainCommand:
     def test_all_ones_report(self, tmp_path, capsys):
         rc = main(["gain", "--scenario", write_scenario(tmp_path, ONES_SCENARIO)])

@@ -407,9 +407,9 @@ class TestPrunedResourceSelection:
         solves = []
         solve_slot = energy._solve_slot
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             solves.append(args)
-            return solve_slot(*args)
+            return solve_slot(*args, **kwargs)
 
         monkeypatch.setattr(energy, "_solve_slot", counting)
         monkeypatch.setattr(selection, "_solve_slot", counting)
@@ -429,9 +429,9 @@ class TestPrunedResourceSelection:
         solves = []
         solve_slot = energy._solve_slot
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             solves.append(args)
-            return solve_slot(*args)
+            return solve_slot(*args, **kwargs)
 
         monkeypatch.setattr(energy, "_solve_slot", counting)
         monkeypatch.setattr(selection, "_solve_slot", counting)
@@ -444,6 +444,45 @@ class TestPrunedResourceSelection:
         assert solves.count((1.0, 1.0, 0.5)) == 1
         monkeypatch.undo()
         assert outcome(select_relay_resource, *flow) == outcome(exhaustive_resource, *flow)
+
+    def test_each_slot_start_is_computed_once(self, monkeypatch):
+        """Each distinct (h, eps_user, target) of a servable option gets one Newton start,
+        which bounds its slot and, if the option is solved, starts the solve."""
+        starts, solves = [], []
+        slot_start, solve_slot = energy._slot_start, energy._solve_slot
+
+        def counting_start(*args):
+            starts.append(args)
+            return slot_start(*args)
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return solve_slot(*args, **kwargs)
+
+        monkeypatch.setattr(energy, "_slot_start", counting_start)
+        monkeypatch.setattr(selection, "_slot_start", counting_start)
+        monkeypatch.setattr(energy, "_solve_slot", counting_solve)
+        monkeypatch.setattr(selection, "_solve_slot", counting_solve)
+        # "e" shares its first-hop gain with the direct link, so CP via "e" reuses
+        # user 1's start of the NCP options
+        h_sd, op, rate = 1.0, OperatingPoint(1.0, 2.0), 0.3
+        cands = [RelayCandidate("a", 4.0, 4.0), RelayCandidate("b", 2.0, 0.5),
+                 RelayCandidate("c", 0.8, 3.0), RelayCandidate("d", 6.0, 1.5),
+                 RelayCandidate("e", 1.0, 2.5)]
+        d = select_relay_resource(h_sd, cands, op, rate)
+        assert (d.protocol, d.relay_id) == (Protocol.NCP, None)
+        eps, k = op.epsilon, op.k
+        wanted = set()
+        for cand in cands:
+            for protocol, h_first, kappa in ((Protocol.NCP, h_sd, k),
+                                             (Protocol.CP, cand.h_sr, k + 1.0)):
+                if _shortfall(protocol, h_first, cand.h_rd, eps, k, rate) is None:
+                    wanted |= {(h_first, eps, rate), (cand.h_rd, k * eps, kappa * rate)}
+        # ten servable options: five first-hop gains and ten partner slots
+        assert len(wanted) == 15
+        assert sorted(starts) == sorted(wanted)
+        # the solved options start from the starts their bounds took
+        assert len(solves) == 7
 
 
 class TestEvaluateNetwork:
