@@ -54,10 +54,11 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
     """Root in [_BETA_LO, _BETA_HI] of kappa*b*log1p(chord1/b) - (1-b)*log1p(chord2/(1-b)).
 
     The endpoint scan of Bracket.scan, then the steps of solve_monotone
-    with the residual written out at each evaluation: the same operations
-    in the same order, so the share, the errors and the _COUNTS deltas are
-    those of solve_monotone(residual, Bracket.scan(residual, _BETA_LO,
-    _BETA_HI), _MAX_EVALS).
+    with the residual written out at each evaluation and the zero, NaN and
+    sign tests of its value taken in one comparison chain, the side test
+    first: the same float operations in the same order, so the share, the
+    errors and the _COUNTS deltas are those of solve_monotone(residual,
+    Bracket.scan(residual, _BETA_LO, _BETA_HI), _MAX_EVALS).
     """
     log1p = math.log1p
     lo, hi = _BETA_LO, _BETA_HI
@@ -96,20 +97,20 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
                         x = math.nextafter(hi, lo)
             y = 1.0 - x
             fx = kappa * x * log1p(chord1 / x) - y * log1p(chord2 / y)
-            if fx == 0.0:
-                return x
-            if fx != fx:
-                raise NaNResidualError(x)
-            if (fx < 0.0) is lo_negative:
+            if fx < 0.0 if lo_negative else fx > 0.0:
                 lo, f_lo = x, fx
                 if kept < 0:
                     f_hi *= 0.5
                 kept = -1
-            else:
+            elif fx != 0.0:
+                if fx != fx:
+                    raise NaNResidualError(x)
                 hi, f_hi = x, fx
                 if kept > 0:
                     f_lo *= 0.5
                 kept = 1
+            else:
+                return x
             if not third:
                 width = hi - lo
             mid = 0.5 * (lo + hi)

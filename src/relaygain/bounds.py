@@ -198,8 +198,13 @@ def cp_bounds_low_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
 def low_tern_gain_limit(gains: LinkGains, k: float) -> float:
     """Limit of the collaboration gain as eps -> 0+."""
     k = _check_positive("k", k)
-    return _in_float_range(min(gains.h12, k / (k + 1.0) * gains.h23) / min(gains.h13, gains.h23),
+    return _in_float_range(_low_tern_limit(gains.h12, gains.h13, gains.h23, k),
                            "the low-TERN gain limit")
+
+
+def _low_tern_limit(h12: float, h13: float, h23: float, k: float) -> float:
+    """low_tern_gain_limit from raw positive gains and k, unchecked: inf past the float range."""
+    return min(h12, k / (k + 1.0) * h23) / min(h13, h23)
 
 
 def high_tern_gain_limit(k: float) -> float:

@@ -80,24 +80,24 @@ def _csv_coords(values: list[float]) -> list[str]:
     return list(map("%.12g,".__mod__, values))
 
 
-def _csv_cells(width: int):
-    """The renderer of a sweep row's last `width` cells as the rest of its CSV
-    line, ",".join(map(_fmt, cells)) + "\n".
+def _csv_cells(width: int, floats: bool):
+    """The renderer of a sweep row's last `width` cells, the feasible and
+    degenerate flags last, as the rest of its CSV line: the text of
+    ",".join(map(_fmt, cells)) + "\n".
 
-    The last two cells are the feasible and degenerate flags. A feasible,
-    non-degenerate row of floats is one %-format of the width's template;
-    any other row takes _fmt per cell, since '%.12g' prints a bool as 1 and
-    rejects None. No cell needs CSV quoting: a cell is a number, empty, true
-    or false.
+    With floats it takes a feasible, non-degenerate row's first width - 2
+    cells, all floats, and is one %-format of the width's template, since
+    '%.12g,' % v is _fmt(v) + ",". Otherwise it takes all `width` cells and
+    formats each with _fmt: '%.12g' prints a bool as 1 and rejects None. No
+    cell needs CSV quoting: a cell is a number, empty, true or false.
     """
-    n = width - 2
-    template, floats = "%.12g," * n + "true,false\n", (float,) * n
+    if floats:
+        return ("%.12g," * (width - 2) + "true,false\n").__mod__
+    return _csv_line
 
-    def render(cells: tuple) -> str:
-        if cells[-1] is False and cells[-2] is True and all(map(isinstance, cells, floats)):
-            return template % cells[:n]
-        return ",".join(map(_fmt, cells)) + "\n"
-    return render
+
+def _csv_line(cells: tuple) -> str:
+    return ",".join(map(_fmt, cells)) + "\n"
 
 
 def _row(fields: dict, label: str = "", width: int = 4) -> str:

@@ -7,12 +7,16 @@ low-TERN collaboration gain over d is (1 + (k/(k+1))^(1/eta))^eta,
 attained at d* = 1/(1 + (k/(k+1))^(1/eta)).
 
 Each sweep kind is one table entry: grid axes, fixed parameters, a point
-evaluator (rate, resource or energy) and its CSV columns. sweep_rows()
-checks every input when it is called and returns a generator whose one
-loop walks the cartesian grid in row-major order (first axis outer),
-yielding each row, a flat tuple in CSV column order, as it is solved;
-sweep() is the list of their SweepRecords; render_sweep() yields each
-row as rendered parts, each repeated value rendered once (the CLI's CSV).
+evaluator (rate, resource or energy), its CSV columns and whether its
+feasible points' cells are all floats. An evaluator returns a point's
+cells in CSV column order, the value first and the flags left out: they
+follow from the value. sweep_rows() checks every input when it is called
+and returns a generator whose one loop walks the cartesian grid in
+row-major order (first axis outer), yielding each row, a flat tuple in
+CSV column order, as it is solved; sweep() is the list of their
+SweepRecords; render_sweep() yields each row as rendered parts, each
+repeated value rendered once and a distinct point's cells in one call on
+its evaluator's tuple (the CLI's CSV: one %-format for a row of floats).
 For every kind the loop flags a point degenerate, without evaluating it,
 when the relay sits on an endpoint or a gain exceeds OVERFLOW_GAIN.
 Symmetric ranges are mirrored exactly so that rows at (x, y) and (x, -y)
@@ -116,8 +120,15 @@ def collinear_gains(d: float, eta: float) -> LinkGains:
     eta = _check_positive("eta", eta)
     if not 0.0 < d < 1.0:
         raise ValidationError(f"d must lie in (0, 1), got {d!r}")
+    h12, h23 = _collinear_pair(d, eta)
+    return LinkGains(h12=h12, h13=1.0, h23=h23)
+
+
+def _collinear_pair(d: float, eta: float) -> tuple[float, float]:
+    """(h12, h23) of collinear_gains from a checked d in (0, 1) and eta > 0: both
+    above 1, or a GeometryError where one overflows."""
     try:
-        return LinkGains(h12=d ** -eta, h13=1.0, h23=(1.0 - d) ** -eta)
+        return d ** -eta, (1.0 - d) ** -eta
     except OverflowError:
         raise GeometryError(f"a gain d^-eta overflows at d={d!r}, eta={eta!r}") from None
 
@@ -244,8 +255,9 @@ def _check_plane(xs: list[float], ys: list[float], eta: float) -> None:
 
 # Point evaluators take a point's h12, h23 and k, the fixed parameters and
 # the sweep's NCP table (per k, (beta, base_rate) by h23), and return the
-# value (None when infeasible), then the extras after h12 and h23, None
-# where absent.
+# point's cells in sweep_columns order: the value (None when infeasible),
+# the gains the kind lists, then its extras, None where absent. The flags
+# follow from the value.
 
 def _rate_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
     eps, shares = fixed["epsilon"], ncp_table.get(k)
@@ -258,33 +270,40 @@ def _rate_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
     return _gain(ncp[1], rate_cp), ncp[0], beta_cp, ncp[1], rate_cp
 
 
+def _collinear_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
+    gain, *rest = _rate_point(h12, h23, k, fixed, ncp_table)
+    return gain, h12, h23, *rest
+
+
 def _resource_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
     gains, op, rate = LinkGains(h12, 1.0, h23), OperatingPoint(fixed["epsilon"], k), fixed["rate"]
     ncp_ok = feasible(Protocol.NCP, gains, op, rate)
     cp_ok = feasible(Protocol.CP, gains, op, rate)
     if not (ncp_ok and cp_ok):
-        return None, ncp_ok, cp_ok, None, None
+        return None, h12, h23, ncp_ok, cp_ok, None, None
     total_ncp = resource_usage(Protocol.NCP, gains, op, rate).total
     total_cp = resource_usage(Protocol.CP, gains, op, rate).total
-    return total_ncp / total_cp, ncp_ok, cp_ok, total_ncp, total_cp
+    return total_ncp / total_cp, h12, h23, ncp_ok, cp_ok, total_ncp, total_cp
 
 
 def _energy_point(h12: float, h23: float, k: float, fixed: dict, ncp_table: dict):
     gains, rate = LinkGains(h12, 1.0, h23), fixed["rate"]
     eps_ncp = min_tern(Protocol.NCP, gains, k, rate).epsilon_min
     eps_cp = min_tern(Protocol.CP, gains, k, rate).epsilon_min
-    return eps_ncp / eps_cp, eps_ncp, eps_cp
+    return eps_ncp / eps_cp, h12, h23, eps_ncp, eps_cp
 
 
 class _Kind(NamedTuple):
     """Grid axes (axis a reads a_min/a_max/a_step), fixed parameters,
-    point evaluator, value column and extra columns of one sweep kind."""
+    point evaluator, value column and extra columns of one sweep kind, and
+    whether every cell its evaluator returns for a feasible point is a float."""
 
     axes: tuple[str, ...]
     fixed: tuple[str, ...]
     evaluate: Callable
     value: str
     extras: tuple[str, ...]
+    floats: bool = True
 
     @property
     def parameters(self) -> tuple[str, ...]:
@@ -294,12 +313,13 @@ class _Kind(NamedTuple):
 _RATE = ("beta_ncp", "beta_cp", "rate_ncp", "rate_cp")
 _KINDS = {
     "plane_gain": _Kind(("x", "y"), ("epsilon", "k", "eta"), _rate_point, "gain", _RATE),
-    "collinear_gain": _Kind(("d",), ("epsilon", "k", "eta"), _rate_point, "gain",
+    "collinear_gain": _Kind(("d",), ("epsilon", "k", "eta"), _collinear_point, "gain",
                             ("h12", "h23", *_RATE)),
     "rate_ratio": _Kind(("k",), ("d", "epsilon", "eta"), _rate_point, "gain", _RATE),
+    # the feasibility extras are bools
     "resource_ratio": _Kind(("d",), ("epsilon", "k", "eta", "rate"), _resource_point,
                             "resource_ratio", ("h12", "h23", "ncp_feasible", "cp_feasible",
-                                               "total_ncp", "total_cp")),
+                                               "total_ncp", "total_cp"), floats=False),
     "energy_ratio": _Kind(("d",), ("k", "eta", "rate"), _energy_point, "energy_ratio",
                           ("h12", "h23", "eps_ncp", "eps_cp")),
 }
@@ -341,8 +361,12 @@ def _singles(values: list[float]) -> list[tuple[float]]:
     return list(zip(values))
 
 
-def _tuples(width: int) -> Callable[[tuple], tuple]:
-    return tuple
+def _tuples(width: int, floats: bool) -> Callable[[tuple], tuple]:
+    return _feasible if floats else tuple
+
+
+def _feasible(cells: tuple) -> tuple:
+    return (*cells, True, False)
 
 
 def render_sweep(kind: str, params: Mapping[str, float], coords: Callable,
@@ -351,10 +375,13 @@ def render_sweep(kind: str, params: Mapping[str, float], coords: Callable,
 
     Where sweep_rows yields (*outer, inner, *cells), this yields the sum of
     the parts coords(outer)[0] (plane rows only), coords(inner axis)[i] and
-    cells(width)(cells): coords maps a list of coordinates to one part each,
-    and cells(width), called once per sweep, renders a row's `width` cells.
-    Parts support +, as tuples and strings do. The inner axis is rendered
-    once per sweep (per segment if longer than SEGMENT_POINTS), an outer
+    the rendered `width` cells, flags included: coords maps a list of
+    coordinates to one part each. cells(width, False) renders a row's
+    `width` cells; for a kind whose feasible points' cells are all floats,
+    cells(width, True) renders a feasible row's from its first width - 2,
+    the flags being True, False. Each is called once per sweep. Parts
+    support +, as tuples and strings do. The inner axis is rendered once
+    per sweep (per segment if longer than SEGMENT_POINTS), an outer
     coordinate once per segment, a distinct point's cells once per segment.
     """
     if kind not in _KINDS:
@@ -390,10 +417,14 @@ def render_sweep(kind: str, params: Mapping[str, float], coords: Callable,
 def _walk(spec: _Kind, grids: list[list[float]], fixed: dict, coords: Callable,
           cells: Callable) -> Iterator:
     """The rows of render_sweep's checked grid, one per point."""
-    evaluate, inner = spec.evaluate, grids[-1]
-    listed = slice(2 if "h12" in spec.extras else 0)  # the gains a row lists, if any
-    cells = cells(3 + len(spec.extras))
-    degenerate = cells((None,) * (1 + len(spec.extras)) + (True, True))
+    evaluate, inner, n = spec.evaluate, grids[-1], 1 + len(spec.extras)
+    row_cells = cells(n + 2, False)
+    degenerate = row_cells((None,) * n + (True, True))
+    if spec.floats:
+        render = cells(n + 2, True)
+    else:
+        def render(point: tuple):
+            return row_cells((*point, point[0] is not None, False))
     # rendered by position: a value-keyed memo would merge 0.0 and -0.0
     labels = coords(inner) if len(inner) <= SEGMENT_POINTS else None
     ncp_table = {}
@@ -409,9 +440,7 @@ def _walk(spec: _Kind, grids: list[list[float]], fixed: dict, coords: Callable,
                 continue
             part = solved.get(point)
             if part is None:
-                value, *rest = evaluate(*point, fixed, ncp_table)
-                part = solved[point] = cells((value, *point[listed], *rest, value is not None,
-                                              False))
+                part = solved[point] = render(evaluate(*point, fixed, ncp_table))
             yield label + part
         # a one-axis grid is one row: no later row reads its shares
         if not prefix or sum(map(len, ncp_table.values())) > NCP_TABLE_SHARES:

@@ -38,6 +38,8 @@ def _past_float_range(name: str) -> ValidationError:
 
 
 def _check_finite(name: str, value: float) -> float:
+    if type(value) is float and math.isfinite(value):
+        return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
@@ -50,6 +52,8 @@ def _check_finite(name: str, value: float) -> float:
 
 
 def _check_positive(name: str, value: float) -> float:
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     value = _check_finite(name, value)
     if value <= 0.0:
         raise ValidationError(f"{name} must be > 0, got {value!r}")

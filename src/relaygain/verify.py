@@ -17,13 +17,14 @@ import random
 from typing import NamedTuple
 
 from .allocation import _gain, _rates, collaboration_gain, cp_allocate, ncp_allocate
-from .bounds import (cp_bounds_high_tern, cp_bounds_low_tern, high_tern_gain_limit,
-                     low_tern_gain_limit, ncp_bounds_high_tern, ncp_bounds_low_tern,
-                     small_k_gain_slope)
+from .bounds import (_low_tern_limit, cp_bounds_high_tern, cp_bounds_low_tern,
+                     high_tern_gain_limit, low_tern_gain_limit, ncp_bounds_high_tern,
+                     ncp_bounds_low_tern, small_k_gain_slope)
 from .energy import min_tern
 from .errors import ValidationError
-from .geometry import collinear_gains, max_geometric_gain, optimal_relay_location
-from .model import LinkGains, OperatingPoint, Protocol
+from .geometry import (MAX_GRID_POINTS, _collinear_pair, max_geometric_gain,
+                       optimal_relay_location)
+from .model import LinkGains, OperatingPoint, Protocol, _check_positive
 from .selection import RelayCandidate, rate_energy_score, select_relay_rate
 
 GRID_GAINS = (0.1, 0.5, 1.0, 2.0, 10.0)
@@ -132,12 +133,26 @@ def _suite_limits() -> list[CheckResult]:
 
 
 def collinear_grid_peak(k: float, eta: float, step: float = 1e-3) -> tuple[float, float]:
-    """(argmax d, max value) of the collinear low-TERN gain on an integer grid."""
+    """(argmax d, max value) of the collinear low-TERN gain on the grid d = i*step in (0, 1).
+
+    Each value is low_tern_gain_limit(collinear_gains(d, eta), k), bit for
+    bit, from the raw cores of both. The grid has round(1/step) - 1 points:
+    a step that leaves none, or more than MAX_GRID_POINTS, is a
+    ValidationError.
+    """
+    k, eta = _check_positive("k", k), _check_positive("eta", eta)
+    step = _check_positive("step", step)
+    if not 1.0 / step < MAX_GRID_POINTS:  # inf where the quotient overflows
+        raise ValidationError(f"placement grid by step {step!r} has more than "
+                              f"{MAX_GRID_POINTS} points")
+    n = round(1.0 / step) - 1
+    if n < 1:
+        raise ValidationError(f"placement grid by step {step!r} has no point in (0, 1)")
     best_d, best_v = None, -1.0
-    n = int(round(1.0 / step)) - 1
     for i in range(1, n + 1):
         d = i * step
-        v = low_tern_gain_limit(collinear_gains(d, eta), k)
+        h12, h23 = _collinear_pair(d, eta)
+        v = _low_tern_limit(h12, 1.0, h23, k)
         if v > best_v:
             best_d, best_v = d, v
     return best_d, best_v

@@ -515,7 +515,11 @@ class TestSweepCommand:
     @example([0.5, 1.0], [True, True])
     def test_csv_cells_match_per_value_format(self, cells, flags):
         row = (*cells, *flags)
-        assert _csv_cells(len(row))(row) == ",".join(map(_fmt, row)) + "\n"
+        line = ",".join(map(_fmt, row)) + "\n"
+        assert _csv_cells(len(row), False)(row) == line
+        if flags[0] is True and flags[1] is False and all(type(c) is float for c in cells):
+            # a feasible row of floats, rendered from its cells before the flags
+            assert _csv_cells(len(row), True)(tuple(cells)) == line
 
     @given(st.lists(CSV_FLOATS, max_size=3))
     @example([-0.0, 0.0])
@@ -526,7 +530,7 @@ class TestSweepCommand:
         # a feasible resource row's cells: ncp_feasible and cp_feasible are
         # bools among floats, which '%.12g' would print as 1
         cells = (1.25, 8.0, 8.0, True, True, 0.75, 0.6, True, False)
-        assert _csv_cells(len(cells))(cells) == "1.25,8,8,true,true,0.75,0.6,true,false\n"
+        assert _csv_cells(len(cells), False)(cells) == "1.25,8,8,true,true,0.75,0.6,true,false\n"
 
     # One small grid per sweep kind with a degenerate point (the relay on an
     # endpoint, or h12 past OVERFLOW_GAIN) where the kind has one, and
@@ -568,6 +572,18 @@ class TestSweepCommand:
         assert (False, False) in flags or kind != "resource_ratio"
 
     @pytest.mark.parametrize("case", sorted(LINE_GRIDS))
+    def test_only_kinds_of_float_rows_reach_the_template(self, case):
+        # a kind renders its feasible rows through the '%.12g' template only if
+        # every cell before the flags is a float: resource_ratio's are not
+        kind, params = case.split()[0], self.LINE_GRIDS[case]
+        n = len(geometry._KINDS[kind].axes)
+        feasible = [row[n:-2] for row in sweep_rows(kind, params) if row[-2:] == (True, False)]
+        assert feasible
+        assert geometry._KINDS[kind].floats == all(type(cell) is float
+                                                   for cells in feasible for cell in cells)
+        assert geometry._KINDS[kind].floats == (kind != "resource_ratio")
+
+    @pytest.mark.parametrize("case", sorted(LINE_GRIDS))
     def test_segments_do_not_move_rows(self, case, monkeypatch):
         kind, params = case.split()[0], self.LINE_GRIDS[case]
         rows = list(sweep_rows(kind, params))
@@ -583,18 +599,21 @@ class TestSweepCommand:
             coords.extend(values)
             return _csv_coords(values)
 
-        def counting_cells(width):
-            render = _csv_cells(width)
-            return lambda values: cells.append(values) or render(values)
+        def counting_cells(width, floats):
+            render = _csv_cells(width, floats)
+            return lambda values: cells.append((floats, values)) or render(values)
 
         rows = render_sweep("plane_gain", {
             "x_min": -1.0, "x_max": 1.0, "x_step": 1.0, "y_min": -0.75, "y_max": 0.75,
             "y_step": 0.01, "epsilon": 0.01, "k": 0.1, "eta": 3.0},
             counting_coords, counting_cells)
         assert len(list(rows)) == 3 * 151
-        # the degenerate cells once per sweep, then 76 per row
+        # the degenerate cells once per sweep, then 76 per row, each the
+        # evaluator's five floats through the template
         assert len(cells) == 1 + 3 * 76
-        assert all(row[-1] is False for row in cells[1:])
+        assert cells[0] == (False, (None,) * 5 + (True, True))
+        assert all(floats and len(values) == 5 and all(type(v) is float for v in values)
+                   for floats, values in cells[1:])
         # each y once per sweep, each row's x once
         assert len(coords) == 151 + 3
 

@@ -99,6 +99,27 @@ class TestPlacementFormulas:
         assert abs(v_grid - max_geometric_gain(1.0, 2.0)) <= 1e-3 * v_grid
 
 
+class TestGridPeak:
+    # verify's placement suite and criterion 06 read the grid at step 1e-3
+    @pytest.mark.parametrize("k, eta", [(1.0, 2.0), (1.0, 3.0), (10.0, 2.0), (10.0, 3.0)])
+    @pytest.mark.parametrize("step", [1e-3, 0.01, 0.37])
+    def test_peak_is_that_of_the_public_functions_bitwise(self, k, eta, step):
+        grid = [i * step for i in range(1, round(1.0 / step))]
+        values = [low_tern_gain_limit(collinear_gains(d, eta), k) for d in grid]
+        best = max(values)
+        expected = grid[values.index(best)], best  # the first d of the largest value
+        assert [x.hex() for x in collinear_grid_peak(k, eta, step)] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("step", [0, 0.0, -0.1, math.nan, math.inf, 0.7, 1.0, 1e-7, 5e-324])
+    def test_step_leaving_no_grid_or_too_many_points_is_invalid(self, step):
+        with pytest.raises(ValidationError, match="^step must be|^placement grid by step"):
+            collinear_grid_peak(1.0, 2.0, step)
+
+    def test_overflowing_gain_is_a_geometry_error(self):
+        with pytest.raises(GeometryError, match="overflows at d=0.001, eta=800.0"):
+            collinear_grid_peak(1.0, 800.0)
+
+
 class TestGridValues:
     def test_inclusive_endpoints(self):
         values = grid_values(0.0, 1.0, 0.25)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from relaygain import Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate, ValidationError
+from relaygain.model import _check_finite, _check_positive
 
 
 class TestLinkGains:
@@ -63,3 +64,48 @@ class TestNames:
             Flow(source, destination, 1.0, 1.0, 1.0)
         assert str(err.value) == f"flow {name} must be a printable string, got {bad!r}"
 
+
+class _Float(float):
+    pass
+
+
+class TestChecks:
+    """The exact-float fast path of _check_finite and _check_positive leaves every
+    other input on the general path: its messages and its conversion to float."""
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "v must be a real number, got True"),
+        (False, "v must be a real number, got False"),
+        ("1.0", "v must be a real number, got '1.0'"),
+        (None, "v must be a real number, got None"),
+        (10 ** 400, "v must be finite, got an integer past the float range"),
+        (math.inf, "v must be finite, got inf"),
+        (-math.inf, "v must be finite, got -inf"),
+        (math.nan, "v must be finite, got nan"),
+        (_Float("inf"), "v must be finite, got inf"),
+        (_Float("nan"), "v must be finite, got nan"),
+    ])
+    @pytest.mark.parametrize("check", [_check_finite, _check_positive])
+    def test_rejected_values_keep_their_messages(self, check, value, message):
+        with pytest.raises(ValidationError) as err:
+            check("v", value)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "v must be > 0, got 0.0"), (-0.0, "v must be > 0, got -0.0"),
+        (-1.5, "v must be > 0, got -1.5"), (0, "v must be > 0, got 0.0"),
+        (-3, "v must be > 0, got -3.0"), (_Float(-2.0), "v must be > 0, got -2.0"),
+        (-5e-324, "v must be > 0, got -5e-324"),
+    ])
+    def test_non_positive_values_keep_their_messages(self, value, message):
+        assert _check_finite("v", value) == value
+        with pytest.raises(ValidationError) as err:
+            _check_positive("v", value)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", [1.5, 5e-324, 1.7976931348623157e308, 3, 2 ** 100,
+                                       _Float(2.5)])
+    @pytest.mark.parametrize("check", [_check_finite, _check_positive])
+    def test_accepted_values_come_back_as_floats(self, check, value):
+        result = check("v", value)
+        assert type(result) is float and result == value
