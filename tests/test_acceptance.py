@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Two criteria check a limit that the program reaches only slowly or only at
-a kink, so where each one is sampled follows from the mathematics:
+Where `relaygain.verify` measures a claim, the criterion calls that
+measurement with its own seeds and counts and asserts its own bound.
+Three criteria check a limit that the program reaches only slowly, only at
+a kink or only as the rate vanishes, so where and how tightly each one is
+sampled follows from the mathematics:
 
 * Criterion 04, the high-TERN limit. With L = ln(eps), each base rate
   expands as R = (L + C)/(kappa+1) + O(1/L), where
@@ -14,7 +17,9 @@ a kink, so where each one is sampled follows from the mathematics:
   (eps >~ 1e146); at eps=1e8 (L = 18.4) the gap reaches 16.9%. The match is
   asserted at eps=1e200 (L = 460.5), below the eps >~ 1e295 region where
   the share solver overflows; the worst gap at eps=1e8 is printed as an
-  unasserted diagnostic.
+  unasserted diagnostic. At equal unit gains and k=1, C_CP - C_NCP is
+  only (ln3 + 2 ln1.5)/3 - ln2 = -0.057, so there the 1e-2 match holds
+  already at eps=1e8, where it is asserted too.
 
 * Criterion 06, the placement peak. The collinear low-TERN gain
   min(d^-eta, c*(1-d)^-eta), c = k/(k+1), peaks at the kink
@@ -26,6 +31,27 @@ a kink, so where each one is sampled follows from the mathematics:
   with m = min(d*, 1-d*): a shortfall of order eta*h, not h^2, because the
   peak is not smooth. Both conditions are asserted for each (k, eta), with
   the shortfall and its bound printed side by side.
+
+* Criterion 14, the energy gain at the placement peak. At d* the gains of
+  collinear_gains(d*, eta) are h13 = 1 and h12 = c*h23 = m, the peak value.
+  min_tern(rate R) crosses eps1(b) = b*expm1(R/b)/h_first with
+  eps2(b) = (1-b)*expm1(kappa*R/(1-b))/(k*h23). For CP (kappa = k+1,
+  h_first = h12 = c*h23) the two are equal at b = 1/(k+2) for every R, so
+
+      eps_CP = (R/m)*(1 + (k+2)R/2 + (k+2)^2 R^2/6 + O(R^3)).
+
+  For NCP (kappa = k, h_first = 1) the share tends to 1 - kR/y0, where y0
+  solves expm1(y0)/y0 = h23, and eps_NCP = R*(1 + R/2 + (1/6 + k/(2 y0))R^2
+  + O(R^3)). The ratio eps_NCP/eps_CP therefore tends to m from below, and
+
+      gap = 1 - ratio/m = (k+1)R/2 * (1 + c2*R + O(R^2)),
+      c2 = -2*[1/6 + k/(2 y0) + (k+2)(k-1)/12]/(k+1).
+
+  At (k, eta) in {1, 10} x {2, 3} c2 is -0.340, -0.298, -2.044 and -1.936,
+  and (gap/((k+1)R/2) - 1)/(c2*R) reads 1.000 at R = 1e-3 and 1e-4. The
+  criterion asserts ratio <= m*(1 + 1e-12) and
+  |gap/((k+1)R/2) - 1| <= 2|c2|R at R in {1e-3, 1e-4, 1e-6}: twice the
+  second-order term, which a first-order term of kR/2 would miss by 1/k.
 """
 
 import math
@@ -35,14 +61,15 @@ import time
 import numpy as np
 import pytest
 
-from relaygain import (LinkGains, OperatingPoint, Protocol, RelayCandidate,
-                       collaboration_gain, cp_allocate, high_tern_gain_limit,
-                       low_tern_gain_limit, max_geometric_gain, min_tern,
-                       ncp_allocate, optimal_relay_location, rate_energy_score,
-                       select_relay_rate, small_k_gain_slope, sweep)
+from relaygain import (LinkGains, OperatingPoint, Protocol, collaboration_gain,
+                       collinear_gains, cp_allocate, high_tern_gain_limit,
+                       max_geometric_gain, min_tern, ncp_allocate, optimal_relay_location,
+                       small_k_gain_slope, sweep)
 from relaygain.bounds import _tangent_construction, _tangent_gap
-from relaygain.verify import (collinear_grid_peak, placement_shortfall_bound,
-                              sandwich_violations)
+from relaygain.verify import (duality_error, large_k_gain, losing_cp_decisions,
+                              low_tern_deviation, placement_peaks, sandwich_violations,
+                              selection_mismatches, small_k_deviation,
+                              unit_high_tern_deviation)
 
 SEED = 20260809
 ONES = LinkGains(1, 1, 1)
@@ -87,16 +114,11 @@ def test_criterion_02_bound_sandwich_grid():
 
 
 def test_criterion_03_low_tern_gain_limit():
-    worst = 0.0
-    for h12, h13, h23 in random_triples():
-        gains = LinkGains(h12, h13, h23)
-        for k in (0.1, 1.0, 10.0):
-            gain = collaboration_gain(gains, OperatingPoint(1e-6, k)).gain
-            limit = low_tern_gain_limit(gains, k)
-            worst = max(worst, abs(gain - limit) / limit)
-    ok = worst <= 1e-3
-    report(3, ok, f"60 cases at eps=1e-6, worst relative deviation {worst:.2e}")
-    assert worst <= 1e-3
+    worst = {seed: low_tern_deviation(random.Random(seed), n) for seed, n in ((SEED, 20), (5, 10))}
+    ok = max(worst.values()) <= 1e-3
+    report(3, ok, f"60 + 30 cases at eps=1e-6, worst relative deviation by seed "
+                  + ", ".join(f"{seed}: {dev:.2e}" for seed, dev in worst.items()))
+    assert ok, worst
 
 
 def test_criterion_04_high_tern_gain_limit():
@@ -112,50 +134,33 @@ def test_criterion_04_high_tern_gain_limit():
 
     worst = worst_gap(1e200)
     worst_1e8 = max(worst_gap(1e8).values())
-    ok = max(worst.values()) <= 1e-2
+    _, unit_gap = unit_high_tern_deviation()
+    ok = max(worst.values()) <= 1e-2 and unit_gap <= 1e-2
     by_k = ", ".join(f"k={k:g}: {dev:.1e}" for k, dev in worst.items())
     report(4, ok, f"60 cases at eps=1e200 vs (k+1)/(k+2), worst gap {by_k}; "
+                  f"unit gains at eps=1e8, k=1: gap {unit_gap:.2e}; "
                   f"diagnostic worst gap at eps=1e8 {worst_1e8:.2e}")
     assert max(worst.values()) <= 1e-2, (
         f"worst relative gap by k {worst} exceeds 1e-2 at eps=1e200, where "
         "the 1/ln(eps) term predicts at most 7.3e-3")
+    assert unit_gap <= 1e-2
 
 
 def test_criterion_05_duality_roundtrip():
-    rng = random.Random(SEED + 1)
-    worst = 0.0
-    for _ in range(100):
-        gains = LinkGains(*(math.exp(rng.uniform(math.log(0.1), math.log(10)))
-                            for _ in range(3)))
-        eps = 10 ** rng.uniform(-3, 2)
-        k = 10 ** rng.uniform(-1, 1)
-        op = OperatingPoint(eps, k)
-        for protocol, allocate in ((Protocol.NCP, ncp_allocate), (Protocol.CP, cp_allocate)):
-            rate = allocate(gains, op).base_rate
-            recovered = min_tern(protocol, gains, k, rate).epsilon_min
-            worst = max(worst, abs(recovered - eps) / eps)
-    ok = worst <= 1e-6
-    report(5, ok, f"100 instances x 2 protocols, worst eps recovery error {worst:.2e}")
-    assert worst <= 1e-6
+    worst = {seed: duality_error(random.Random(seed), n)
+             for seed, n in ((SEED + 1, 100), (11, 40))}
+    ok = max(worst.values()) <= 1e-12
+    report(5, ok, "100 + 40 instances x 2 protocols, worst eps recovery error by seed "
+                  + ", ".join(f"{seed}: {err:.2e}" for seed, err in worst.items()))
+    assert ok, worst
 
 
 def test_criterion_06_placement_grid():
-    step = 1e-3
-    bad = []
-    details = []
-    for k in (1.0, 10.0):
-        for eta in (2.0, 3.0):
-            d_grid, v_grid = collinear_grid_peak(k, eta, step=step)
-            d_star = optimal_relay_location(k, eta)
-            v_star = max_geometric_gain(k, eta)
-            d_err = abs(d_grid - d_star)
-            shortfall = (v_star - v_grid) / v_star
-            bound = placement_shortfall_bound(k, eta, step)
-            details.append(f"(k={k:g},eta={eta:g}): d_err={d_err:.1e} "
-                           f"shortfall={shortfall:.2e} bound={bound:.2e}")
-            if (d_err > 2e-3 or v_grid > v_star * (1 + 1e-12)
-                    or shortfall > bound):
-                bad.append((k, eta, d_err, shortfall, bound))
+    peaks = placement_peaks()
+    bad = [(k, eta, d_err, shortfall, bound) for k, eta, d_err, shortfall, bound in peaks
+           if not (d_err <= 2e-3 and -1e-12 <= shortfall <= bound)]
+    details = [f"(k={k:g},eta={eta:g}): d_err={d_err:.1e} shortfall={shortfall:.2e} "
+               f"bound={bound:.2e}" for k, eta, d_err, shortfall, bound in peaks]
     spot_ok = (abs(optimal_relay_location(1.0, 2.0) - 0.585786) <= 1e-6
                and abs(max_geometric_gain(1.0, 2.0) - 2.91421) <= 1e-5)
     ok = not bad and spot_ok
@@ -169,9 +174,7 @@ def test_criterion_06_placement_grid():
 
 def test_criterion_07_small_k_slope():
     slope = small_k_gain_slope(ONES, 1.0)
-    gain_small = collaboration_gain(ONES, OperatingPoint(1.0, 1e-4)).gain
-    rel = abs(gain_small / 1e-4 - slope) / slope
-    below = collaboration_gain(ONES, OperatingPoint(1.0, 1e-3)).gain
+    rel, below = small_k_deviation()
     ok = rel <= 1e-2 and below < 1.0
     report(7, ok, f"(gain/k)(k=1e-4) off 1/ln2 by {rel:.2e}; gain(k=1e-3)={below:.2e} < 1")
     assert slope == pytest.approx(1.0 / math.log(2), rel=1e-12)
@@ -180,7 +183,7 @@ def test_criterion_07_small_k_slope():
 
 
 def test_criterion_08_large_k_convergence():
-    gain = collaboration_gain(ONES, OperatingPoint(1.0, 1e4)).gain
+    gain = large_k_gain()
     ok = abs(gain - 1.0) <= 0.01
     report(8, ok, f"gain(k=1e4, equal gains, eps=1) = {gain:.6f}")
     assert abs(gain - 1.0) <= 0.01
@@ -271,38 +274,48 @@ def test_criterion_12_tangent_intersection_consistency():
 
 
 def test_criterion_13_selection_consistency():
-    rng = random.Random(SEED + 4)
-    checked = mismatches = 0
-    while checked < 50:
-        h_sd = math.exp(rng.uniform(math.log(0.25), math.log(4)))
-        k = 10 ** rng.uniform(-1, 1)
-        cands = [RelayCandidate(f"c{i}",
-                                math.exp(rng.uniform(math.log(0.25), math.log(4))),
-                                math.exp(rng.uniform(math.log(0.25), math.log(4))))
-                 for i in range(rng.randint(2, 6))]
-        scores = sorted(rate_energy_score(h_sd, c, k) for c in cands)
-        if scores[-1] - scores[-2] < 0.01 * scores[-2]:
-            continue
-        checked += 1
-        op = OperatingPoint(1e-4, k)
-        fast = select_relay_rate(h_sd, cands, op)
-        full = select_relay_rate(h_sd, cands, op, confirm_all=True)
-        if (fast.protocol, fast.relay_id) != (full.protocol, full.relay_id):
-            mismatches += 1
-
-    bad_cp = 0
-    for _ in range(1000):
-        h_sd = math.exp(rng.uniform(math.log(0.1), math.log(10)))
-        op = OperatingPoint(10 ** rng.uniform(-4, 2), 10 ** rng.uniform(-1, 1))
-        cands = [RelayCandidate(f"c{i}",
-                                math.exp(rng.uniform(math.log(0.1), math.log(10))),
-                                math.exp(rng.uniform(math.log(0.1), math.log(10))))
-                 for i in range(rng.randint(1, 4))]
-        decision = select_relay_rate(h_sd, cands, op)
-        if decision.protocol is Protocol.CP and (decision.exact_gain or 0.0) <= 1.0:
-            bad_cp += 1
-    ok = mismatches == 0 and bad_cp == 0
-    report(13, ok, f"50 ranked sets: {mismatches} mismatches; "
-                   f"1000 instances: {bad_cp} losing CP decisions")
+    rng = random.Random(SEED + 4)  # as in verify, the losing-CP draws follow the ranked sets
+    mismatches = selection_mismatches(rng, 50)
+    losing = {SEED + 4: losing_cp_decisions(rng, 1000),
+              99: losing_cp_decisions(random.Random(99), 200)}
+    ok = mismatches == 0 and not any(losing.values())
+    report(13, ok, f"50 ranked sets: {mismatches} mismatches; 1000 + 200 instances: "
+                   "losing CP decisions by seed "
+                   + ", ".join(f"{seed}: {n}" for seed, n in losing.items()))
     assert mismatches == 0
-    assert bad_cp == 0
+    assert not any(losing.values()), losing
+
+
+def expm1_ratio_root(h):
+    """The y > 0 with expm1(y)/y = h, for h > 1, bisected to adjacent doubles."""
+    lo, hi = 0.0, 1.0
+    while math.expm1(hi) / hi < h:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if math.expm1(mid) / mid < h else (lo, mid)
+    return lo
+
+
+def test_criterion_14_energy_gain_at_placement_peak():
+    bad, details = [], []
+    for k in (1.0, 10.0):
+        for eta in (2.0, 3.0):
+            gains = collinear_gains(optimal_relay_location(k, eta), eta)
+            m = max_geometric_gain(k, eta)
+            y0 = expm1_ratio_root(gains.h23)
+            c2 = -2.0 * (1 / 6 + k / (2 * y0) + (k + 2) * (k - 1) / 12) / (k + 1)
+            worst = 0.0
+            for rate in (1e-3, 1e-4, 1e-6):
+                ratio = (min_tern(Protocol.NCP, gains, k, rate).epsilon_min
+                         / min_tern(Protocol.CP, gains, k, rate).epsilon_min)
+                rel = (1.0 - ratio / m) / ((k + 1) * rate / 2) - 1.0
+                worst = max(worst, abs(rel) / (abs(c2) * rate))
+                if not (ratio <= m * (1 + 1e-12) and abs(rel) <= 2 * abs(c2) * rate):
+                    bad.append((k, eta, rate, ratio, m, rel, c2))
+            details.append(f"(k={k:g},eta={eta:g}): c2={c2:.3f} worst {worst:.3f}")
+    ok = not bad
+    report(14, ok, "eps_NCP/eps_CP below m by (k+1)R/2*(1 + c2*R) at R = 1e-3, 1e-4, 1e-6, "
+                   "|relative error| in units of |c2|R (at most 2): " + "; ".join(details))
+    assert not bad, (
+        f"(k, eta, R, ratio, m, gap/((k+1)R/2) - 1, c2) out of range at {bad}: the "
+        "energy ratio must stay below m and follow its expansion to twice the R^2 term")

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import relaygain.energy as energy
 from relaygain import (LinkGains, OperatingPoint, Protocol, collinear_gains, cp_allocate,
-                       feasibility_bound, feasible, grid_values, min_tern, ncp_allocate,
-                       resource_usage, sweep)
+                       feasibility_bound, feasible, grid_values, min_tern, resource_usage,
+                       sweep)
 from relaygain.cli import main
 from relaygain.errors import (InfeasibleRateError, IterationLimitError, NaNResidualError,
                               RelayGainError, ValidationError)
@@ -244,24 +244,6 @@ class TestSlotExtremes:
         assert main(["resource", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: the share for rate 1e-306 is below the normal float range\n")
-
-
-class TestDualityRoundtrip:
-    def test_roundtrip_both_protocols(self):
-        rng = random.Random(11)
-        worst = 0.0
-        for _ in range(40):
-            gains = LinkGains(*(math.exp(rng.uniform(math.log(0.1), math.log(10)))
-                                for _ in range(3)))
-            eps = 10 ** rng.uniform(-3, 2)
-            k = 10 ** rng.uniform(-1, 1)
-            op = OperatingPoint(eps, k)
-            for protocol, allocate in ((Protocol.NCP, ncp_allocate),
-                                       (Protocol.CP, cp_allocate)):
-                rate = allocate(gains, op).base_rate
-                recovered = min_tern(protocol, gains, k, rate).epsilon_min
-                worst = max(worst, abs(recovered - eps) / eps)
-        assert worst <= 1e-12
 
 
 class TestMinTernRange:

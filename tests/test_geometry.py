@@ -7,15 +7,14 @@ import re
 import pytest
 
 import relaygain.geometry as geometry
-from relaygain import (LinkGains, OperatingPoint, Placement, Protocol, collaboration_gain,
-                       collinear_gains, cp_allocate, feasible, gains_from_placement,
-                       grid_values, low_tern_gain_limit, max_geometric_gain, min_tern,
-                       ncp_allocate, optimal_relay_location, resource_usage, sweep,
-                       sweep_columns)
+from relaygain import (LinkGains, OperatingPoint, Placement, Protocol, collinear_gains,
+                       cp_allocate, feasible, gains_from_placement, grid_values,
+                       low_tern_gain_limit, max_geometric_gain, min_tern, ncp_allocate,
+                       optimal_relay_location, resource_usage, sweep, sweep_columns)
 from relaygain.cli import main
 from relaygain.errors import GeometryError, ValidationError
 from relaygain.geometry import MAX_GRID_POINTS
-from relaygain.verify import collinear_grid_peak
+from relaygain.verify import PLACEMENT_STEP, collinear_grid_peak
 
 
 class TestGainsFromPlacement:
@@ -93,27 +92,15 @@ class TestPlacementFormulas:
         values = [max_geometric_gain(2.0, eta) for eta in (2.0, 2.5, 3.0, 4.0, 6.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_grid_peak_matches_formulas(self):
-        d_grid, v_grid = collinear_grid_peak(1.0, 2.0)
-        assert abs(d_grid - optimal_relay_location(1.0, 2.0)) <= 2e-3
-        assert abs(v_grid - max_geometric_gain(1.0, 2.0)) <= 1e-3 * v_grid
-
 
 class TestGridPeak:
-    # verify's placement suite and criterion 06 read the grid at step 1e-3
     @pytest.mark.parametrize("k, eta", [(1.0, 2.0), (1.0, 3.0), (10.0, 2.0), (10.0, 3.0)])
-    @pytest.mark.parametrize("step", [1e-3, 0.01, 0.37])
-    def test_peak_is_that_of_the_public_functions_bitwise(self, k, eta, step):
-        grid = [i * step for i in range(1, round(1.0 / step))]
+    def test_peak_is_that_of_the_public_functions_bitwise(self, k, eta):
+        grid = [i * PLACEMENT_STEP for i in range(1, round(1.0 / PLACEMENT_STEP))]
         values = [low_tern_gain_limit(collinear_gains(d, eta), k) for d in grid]
         best = max(values)
         expected = grid[values.index(best)], best  # the first d of the largest value
-        assert [x.hex() for x in collinear_grid_peak(k, eta, step)] == [x.hex() for x in expected]
-
-    @pytest.mark.parametrize("step", [0, 0.0, -0.1, math.nan, math.inf, 0.7, 1.0, 1e-7, 5e-324])
-    def test_step_leaving_no_grid_or_too_many_points_is_invalid(self, step):
-        with pytest.raises(ValidationError, match="^step must be|^placement grid by step"):
-            collinear_grid_peak(1.0, 2.0, step)
+        assert [x.hex() for x in collinear_grid_peak(k, eta)] == [x.hex() for x in expected]
 
     def test_overflowing_gain_is_a_geometry_error(self):
         with pytest.raises(GeometryError, match="overflows at d=0.001, eta=800.0"):

@@ -69,38 +69,6 @@ class TestSelectRelayRate:
         cands = [RelayCandidate("b", 4.0, 4.0), RelayCandidate("a", 4.0, 4.0)]
         assert select_relay_rate(1.0, cands, op).relay_id == "a"
 
-    def test_never_collaborates_at_a_loss(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            h_sd = math.exp(rng.uniform(math.log(0.1), math.log(10)))
-            op = OperatingPoint(10 ** rng.uniform(-4, 2), 10 ** rng.uniform(-1, 1))
-            cands = [RelayCandidate(f"c{i}",
-                                    math.exp(rng.uniform(math.log(0.1), math.log(10))),
-                                    math.exp(rng.uniform(math.log(0.1), math.log(10))))
-                     for i in range(rng.randint(1, 4))]
-            decision = select_relay_rate(h_sd, cands, op)
-            if decision.protocol is Protocol.CP:
-                assert decision.exact_gain is not None and decision.exact_gain > 1.0
-
-    def test_score_ranking_matches_exact_argmax_at_low_tern(self):
-        rng = random.Random(4242)
-        checked = 0
-        while checked < 25:
-            h_sd = math.exp(rng.uniform(math.log(0.25), math.log(4)))
-            k = 10 ** rng.uniform(-1, 1)
-            cands = [RelayCandidate(f"c{i}",
-                                    math.exp(rng.uniform(math.log(0.25), math.log(4))),
-                                    math.exp(rng.uniform(math.log(0.25), math.log(4))))
-                     for i in range(rng.randint(2, 6))]
-            scores = sorted(rate_energy_score(h_sd, c, k) for c in cands)
-            if scores[-1] - scores[-2] < 0.01 * scores[-2]:
-                continue
-            checked += 1
-            op = OperatingPoint(1e-4, k)
-            fast = select_relay_rate(h_sd, cands, op)
-            full = select_relay_rate(h_sd, cands, op, confirm_all=True)
-            assert (fast.protocol, fast.relay_id) == (full.protocol, full.relay_id)
-
 
 def gain_confirmed_rate(h_sd, candidates, op, confirm_all=False):
     """select_relay_rate with each candidate confirmed by collaboration_gain: the
