@@ -21,9 +21,12 @@ with kappa = k, h_first = h13 for NCP and kappa = k + 1, h_first = h12 for CP.
 _share solves it between the clamped ends [_BETA_LO, _BETA_HI] with the
 safeguarded Illinois steps of rootfind.solve_monotone, run inline: the
 residual is written out at each evaluation, so a solve calls no function
-per evaluation and builds no Bracket. It bumps rootfind's solve counters
-as solve_monotone does. A drift test in tests/test_allocation.py pins the
-two copies together: bitwise-equal shares, errors and counts.
+per evaluation and builds no Bracket, and each window of three steps is
+written out in full, so no step tests its place in the window (see
+rootfind). It bumps rootfind's solve counters as solve_monotone does. A
+drift test in tests/test_allocation.py pins the two copies together:
+bitwise-equal shares, errors and counts, also where the evaluation limit
+falls inside a window.
 """
 
 from __future__ import annotations
@@ -58,7 +61,11 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
     sign tests of its value taken in one comparison chain, the side test
     first: the same float operations in the same order, so the share, the
     errors and the _COUNTS deltas are those of solve_monotone(residual,
-    Bracket.scan(residual, _BETA_LO, _BETA_HI), _MAX_EVALS).
+    Bracket.scan(residual, _BETA_LO, _BETA_HI), _MAX_EVALS). Each pass of
+    the loop is one window: two secant steps, then a step that bisects
+    unless they halved the bracket. The window's later steps add their
+    place in it to n where they exit, and stop the solve where _MAX_EVALS
+    falls inside the window.
     """
     log1p = math.log1p
     lo, hi = _BETA_LO, _BETA_HI
@@ -82,10 +89,82 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
         lo_negative = f_lo < 0.0
         kept = 0
         width = hi - lo
-        for n in range(1, max_evals + 1):
+        second_last = max_evals - 1  # the n of a window whose second step is the last
+        # one window of three steps per pass; n counts the evaluations up to the
+        # window's first step, and its later steps add their offset where they exit
+        for n in range(1, max_evals + 1, 3):
+            # first step: the secant point
             x = mid
-            third = n % 3
-            if third or hi - lo <= 0.5 * width:
+            t = f_lo / (f_lo - f_hi)
+            if 0.0 < t <= 0.5:
+                x = lo + (hi - lo) * t
+                if x <= lo:
+                    x = math.nextafter(lo, hi)
+            elif t > 0.5:
+                x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                if x >= hi:
+                    x = math.nextafter(hi, lo)
+            y = 1.0 - x
+            fx = kappa * x * log1p(chord1 / x) - y * log1p(chord2 / y)
+            if fx < 0.0 if lo_negative else fx > 0.0:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            elif fx != 0.0:
+                if fx != fx:
+                    raise NaNResidualError(x)
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            else:
+                return x
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return mid
+            if n == max_evals:
+                break
+
+            # second step: the secant point
+            x = mid
+            t = f_lo / (f_lo - f_hi)
+            if 0.0 < t <= 0.5:
+                x = lo + (hi - lo) * t
+                if x <= lo:
+                    x = math.nextafter(lo, hi)
+            elif t > 0.5:
+                x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                if x >= hi:
+                    x = math.nextafter(hi, lo)
+            y = 1.0 - x
+            fx = kappa * x * log1p(chord1 / x) - y * log1p(chord2 / y)
+            if fx < 0.0 if lo_negative else fx > 0.0:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            elif fx != 0.0:
+                if fx != fx:
+                    n += 1
+                    raise NaNResidualError(x)
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            else:
+                n += 1
+                return x
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                n += 1
+                return mid
+            if n == second_last:
+                break
+
+            # third step: the midpoint, unless the window's first two halved the bracket
+            x = mid
+            if hi - lo <= 0.5 * width:
                 t = f_lo / (f_lo - f_hi)
                 if 0.0 < t <= 0.5:
                     x = lo + (hi - lo) * t
@@ -104,18 +183,21 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
                 kept = -1
             elif fx != 0.0:
                 if fx != fx:
+                    n += 2
                     raise NaNResidualError(x)
                 hi, f_hi = x, fx
                 if kept > 0:
                     f_lo *= 0.5
                 kept = 1
             else:
+                n += 2
                 return x
-            if not third:
-                width = hi - lo
+            width = hi - lo
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
+                n += 2
                 return mid
+        n = max_evals
         raise IterationLimitError(lo, hi, max_evals)
     finally:
         _COUNTS.solves += 1

@@ -11,20 +11,24 @@ Two constructions sandwich the exact base rate, with the exceptions below:
   gives two parabolas whose equalization point (a stable quadratic root)
   lower-bounds the rate; the curve endpoints min{...} upper-bound it.
 
-Tightness alternates with regime. Negative parabola values are clamped at
-zero (rates are nonnegative). The brackets do not hold for every eps:
+Tightness alternates with regime. A parabola value below zero, or above
+its pair's upper bound, is reported as lower 0: rates are nonnegative, and
+the exact rate lies at or below the upper. The brackets do not hold for
+every eps:
 
 * the low-TERN lower bound can exceed the exact rate by rounding, since
   h_a*eps - h_a^2*eps^2/(2*beta) cancels: by up to ~4e-5 relative over
   wide seeded draws (gains e^+-10, eps e^+-25, k e^+-5), and never over
   the ranges of the benchmark's flows and of verify's grids. Where
+  h_a^2 leaves the normal range the value is taken as a - a*(a/(2*beta))
+  with a = h_a*eps, so that h_a^2 cannot vanish from it. Where
   eps*h_a^2/2 underflows the peak share is 0, a ValidationError rather
   than a bound. A discriminant that overflows from finite coefficients
   is taken from the coefficients scaled by a power of two;
 * the high-TERN pair and the low-TERN upper bound showed no violation in
   those draws. A high-TERN chord that overflows is a ValidationError
-  rather than a NaN upper, but where k*h23*eps underflows to 0 the
-  low-TERN upper is 0, below its lower.
+  rather than a NaN upper. Where k*h23*eps underflows the low-TERN upper
+  loses its digits, down to 0; a parabola value above it gives lower 0.
 
 An upper bound, limit or slope past the float range is a ValidationError.
 
@@ -116,7 +120,8 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
     (f(1) > 0 forces quad > 0, so the other root is negative). Where D overflows
     to inf, the coefficients are scaled first by the power of two that brings the
     largest into [1/2, 1), which leaves the root as it is. Returns (beta, parabola
-    value, degenerate flag). A share of 0 (underflow) or inf (an infinite
+    value, degenerate flag); where h_a^2 is not a normal float the value is
+    a - a*(a/(2*beta)) with a = h_a*eps. A share of 0 (underflow) or inf (an infinite
     coefficient) raises; a NaN share, from an infinite curvature term or from
     D = inf - inf, clamps to lower 0.
     """
@@ -143,7 +148,13 @@ def _parabola_peak(h_a: float, h_b: float, eps: float, kappa: float) -> tuple[fl
     if beta == 0.0 or beta == math.inf:
         raise ValidationError(f"low-TERN bound undefined: the parabola peak share at eps={eps!r} "
                               + ("underflows to 0" if beta == 0.0 else "overflows"))
-    value = h_a * eps - h_a * h_a * eps * eps / (2.0 * beta)
+    square = h_a * h_a
+    if sys.float_info.min <= square < math.inf:
+        value = h_a * eps - square * eps * eps / (2.0 * beta)
+    else:
+        # h_a^2 underflows, which would leave user 1's whole chord, or overflows
+        chord = h_a * eps
+        value = chord - chord * (chord / (2.0 * beta))
     return beta, value, degenerate
 
 
@@ -155,6 +166,11 @@ def _in_float_range(value: float, what: str) -> float:
 
 def _in_unit(beta: float) -> float | None:
     return beta if 0.0 < beta < 1.0 else None
+
+
+def _parabola_lower(value: float, upper: float) -> float:
+    """The parabola value as a lower bound: 0 where it is negative, NaN or above the upper."""
+    return value if 0.0 < value <= upper else 0.0
 
 
 def ncp_bounds_high_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
@@ -178,7 +194,7 @@ def ncp_bounds_low_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
     beta, value, degenerate = _parabola_peak(h13, h23, eps, k)
     upper = _in_float_range(min(math.log1p(h13 * eps), math.log1p(k * h23 * eps) / k),
                             "the NCP low-TERN upper bound")
-    return BoundPair(max(0.0, value), upper, _in_unit(beta), degenerate)
+    return BoundPair(_parabola_lower(value, upper), upper, _in_unit(beta), degenerate)
 
 
 def cp_bounds_low_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
@@ -192,7 +208,7 @@ def cp_bounds_low_tern(gains: LinkGains, op: OperatingPoint) -> BoundPair:
     beta, value, degenerate = _parabola_peak(h12, relayed, eps, k + 1.0)
     upper = _in_float_range(min(math.log1p(h12 * eps), math.log1p(k * h23 * eps) / (k + 1.0)),
                             "the CP low-TERN upper bound")
-    return BoundPair(max(0.0, value), upper, _in_unit(beta), degenerate)
+    return BoundPair(_parabola_lower(value, upper), upper, _in_unit(beta), degenerate)
 
 
 def low_tern_gain_limit(gains: LinkGains, k: float) -> float:

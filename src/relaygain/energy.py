@@ -14,7 +14,8 @@ Written with L the ln R terms cancel, which keeps near-tie crossings at low
 rates accurate. The logarithms stay finite where eps overflows, so a TERN
 beyond the float range is a ValidationError rather than a wrong number.
 _crossing runs the safeguarded Illinois steps of rootfind.solve_monotone
-inline on [0, 1], with the gap written out at each evaluation, and bumps
+inline on [0, 1], with the gap written out at each evaluation and each
+window of three steps written out in full (see rootfind), and bumps
 rootfind's solve counters as solve_monotone does. A drift test in
 tests/test_energy.py pins the two copies together: bitwise-equal shares,
 errors and counts.
@@ -153,25 +154,129 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
     The bracket [0, 1] with the gap's end values +inf and -inf, then the
     steps of solve_monotone with the gap written out at each evaluation,
     L(x) = ln(expm1(x)/x) by a series below 1e-3, ln(expm1(x)/x) up to 1,
-    and x + log1p(-e^-x) - ln x above, +inf at x = inf: the same operations
-    in the same order, so the share, the errors and the _COUNTS deltas are
-    those of solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0),
-    3 * _SHARE_HALVINGS). Every evaluated share lies strictly inside (0, 1),
+    and x + log1p(-e^-x) - ln x above, +inf at x = inf, and the zero, NaN
+    and sign tests of each gap value taken in one comparison chain, the
+    side tests first: the same float operations in the same order, so the
+    share, the errors and the _COUNTS deltas are those of
+    solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0), 3 * _SHARE_HALVINGS).
+    Each pass of the loop is one window of three steps, written out as in
+    allocation._share. Every evaluated share lies strictly inside (0, 1),
     but the share returned where the bracket closes is its midpoint, which
     can round to an end of [0, 1]: 0.0 at a subnormal rate.
     L is written out for u and v rather than called: two helper calls per
-    evaluation cost 11% of the energy_dual benchmark's wall time.
+    evaluation cost 11% of the energy_dual benchmark's wall time with the
+    compact loop, and make the crossings of its demand pool 10% slower with
+    the window written out.
     """
     log, log1p, exp, expm1, inf = math.log, math.log1p, math.exp, math.expm1, math.inf
     # the gap falls from +inf at 0, where a share carries no rate at any TERN, to -inf at 1
     lo, hi, f_lo, f_hi = 0.0, 1.0, inf, -inf
     mid, kept, width = 0.5, 0, 1.0
     max_iter = 3 * _SHARE_HALVINGS
+    second_last = max_iter - 1  # the n of a window whose second step is the last
     n = 0  # evaluations beyond the bracket's two, at every exit
     try:
-        for n in range(1, max_iter + 1):
+        # one window of three steps per pass; n counts the evaluations up to the
+        # window's first step, and its later steps add their offset where they exit
+        for n in range(1, max_iter + 1, 3):
+            # first step: the secant point
             x = mid
-            if n % 3 or hi - lo <= 0.5 * width:
+            t = f_lo / (f_lo - f_hi)
+            if 0.0 < t <= 0.5:
+                x = lo + (hi - lo) * t
+                if x <= lo:
+                    x = math.nextafter(lo, hi)
+            elif t > 0.5:
+                x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                if x >= hi:
+                    x = math.nextafter(hi, lo)
+            u = rate / x
+            if u > 1.0:
+                l_u = u + log1p(-exp(-u)) - log(u) if u < inf else u
+            elif u < 1e-3:
+                l_u = u * (0.5 + u * (1.0 / 24.0 - u * u / 2880.0))
+            else:
+                l_u = log(expm1(u) / u)
+            v = partner_rate / (1.0 - x)
+            if v > 1.0:
+                l_v = v + log1p(-exp(-v)) - log(v) if v < inf else v
+            elif v < 1e-3:
+                l_v = v * (0.5 + v * (1.0 / 24.0 - v * v / 2880.0))
+            else:
+                l_v = log(expm1(v) / v)
+            fx = offset + l_u - l_v
+            if fx > 0.0:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            elif fx < 0.0:
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            elif fx == 0.0:
+                return x
+            else:
+                raise NaNResidualError(x)
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return mid
+            if n == max_iter:
+                break
+
+            # second step: the secant point
+            x = mid
+            t = f_lo / (f_lo - f_hi)
+            if 0.0 < t <= 0.5:
+                x = lo + (hi - lo) * t
+                if x <= lo:
+                    x = math.nextafter(lo, hi)
+            elif t > 0.5:
+                x = hi - (hi - lo) * (f_hi / (f_hi - f_lo))
+                if x >= hi:
+                    x = math.nextafter(hi, lo)
+            u = rate / x
+            if u > 1.0:
+                l_u = u + log1p(-exp(-u)) - log(u) if u < inf else u
+            elif u < 1e-3:
+                l_u = u * (0.5 + u * (1.0 / 24.0 - u * u / 2880.0))
+            else:
+                l_u = log(expm1(u) / u)
+            v = partner_rate / (1.0 - x)
+            if v > 1.0:
+                l_v = v + log1p(-exp(-v)) - log(v) if v < inf else v
+            elif v < 1e-3:
+                l_v = v * (0.5 + v * (1.0 / 24.0 - v * v / 2880.0))
+            else:
+                l_v = log(expm1(v) / v)
+            fx = offset + l_u - l_v
+            if fx > 0.0:
+                lo, f_lo = x, fx
+                if kept < 0:
+                    f_hi *= 0.5
+                kept = -1
+            elif fx < 0.0:
+                hi, f_hi = x, fx
+                if kept > 0:
+                    f_lo *= 0.5
+                kept = 1
+            elif fx == 0.0:
+                n += 1
+                return x
+            else:
+                n += 1
+                raise NaNResidualError(x)
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                n += 1
+                return mid
+            if n == second_last:
+                break
+
+            # third step: the midpoint, unless the window's first two halved the bracket
+            x = mid
+            if hi - lo <= 0.5 * width:
                 t = f_lo / (f_lo - f_hi)
                 if 0.0 < t <= 0.5:
                     x = lo + (hi - lo) * t
@@ -196,25 +301,28 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
             else:
                 l_v = log(expm1(v) / v)
             fx = offset + l_u - l_v
-            if fx == 0.0:
-                return x
-            if fx != fx:
-                raise NaNResidualError(x)
             if fx > 0.0:
                 lo, f_lo = x, fx
                 if kept < 0:
                     f_hi *= 0.5
                 kept = -1
-            else:
+            elif fx < 0.0:
                 hi, f_hi = x, fx
                 if kept > 0:
                     f_lo *= 0.5
                 kept = 1
-            if n % 3 == 0:
-                width = hi - lo
+            elif fx == 0.0:
+                n += 2
+                return x
+            else:
+                n += 2
+                raise NaNResidualError(x)
+            width = hi - lo
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
+                n += 2
                 return mid
+        n = max_iter
         raise IterationLimitError(lo, hi, max_iter)
     finally:
         _COUNTS.solves += 1

@@ -13,7 +13,12 @@ and it stops on adjacent doubles or on an exact zero of f.
 _COUNTS keeps running totals of the solves, counted once per solve: read
 its deltas around a call. allocation (the fair share) and energy (the
 energy dual's crossing share) run the same steps inline and bump the same
-totals.
+totals. They write each window of three steps out in full, two secant
+steps and then the third, so that no step pays the window bookkeeping of
+the loop below (its index mod 3, the third-step test, the width update):
+that bookkeeping cost about 7% of a share solve and 8% of a crossing.
+solve_monotone keeps the compact loop, the reference that the drift tests
+of both inline copies compare against.
 """
 
 from __future__ import annotations

@@ -272,7 +272,11 @@ def _share_pair(protocol, gains, op, max_iter):
     """The inlined share solve and solve_monotone on the same residual, as outcomes."""
     eps, k = op.epsilon, op.k
     kappa, h_first = (k, gains.h13) if protocol is Protocol.NCP else (k + 1.0, gains.h12)
-    chord1, chord2 = h_first * eps, gains.h23 * k * eps
+    return _chord_pair(kappa, h_first * eps, gains.h23 * k * eps, max_iter)
+
+
+def _chord_pair(kappa, chord1, chord2, max_iter):
+    """_share_pair on the arguments of allocation._share."""
 
     def residual(b):
         return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
@@ -315,6 +319,59 @@ class TestInlineShareDrift:
             assert inline == reference
             assert inline[0][0] is IterationLimitError
             assert inline[1] == (1, 6)
+
+    @pytest.mark.parametrize("max_evals", range(1, 8))
+    def test_limits_inside_and_at_the_end_of_a_window_match(self, monkeypatch, max_evals):
+        """Each step of the written-out window, stopped after it: the same last
+        bracket, error and counts as solve_monotone's loop."""
+        monkeypatch.setattr(allocation, "_MAX_EVALS", max_evals)
+        rng = random.Random(max_evals)
+        limited = 0
+        for _ in range(300):
+            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
+            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            for protocol in Protocol:
+                inline, reference = _share_pair(protocol, gains, op, max_evals)
+                assert inline == reference, (protocol, gains, op)
+                limited += inline[0][0] is IterationLimitError
+        assert limited >= 400
+
+    def test_limit_at_the_closing_step_matches(self, monkeypatch):
+        """A limit of exactly the evaluations a solve needs returns its share, and one
+        fewer stops it with solve_monotone's last bracket, at every place in a window."""
+        rng = random.Random(30)
+        full = allocation._MAX_EVALS
+        places = [0, 0, 0]
+        for _ in range(300):
+            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
+            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            for protocol in Protocol:
+                monkeypatch.setattr(allocation, "_MAX_EVALS", full)
+                (share, (_, evals)), _ = _share_pair(protocol, gains, op, full)
+                needed = evals - 2
+                if not isinstance(share, str) or needed < 2:
+                    continue
+                places[needed % 3] += 1
+                for max_evals in (needed, needed - 1):
+                    monkeypatch.setattr(allocation, "_MAX_EVALS", max_evals)
+                    inline, reference = _share_pair(protocol, gains, op, max_evals)
+                    assert inline == reference, (protocol, gains, op, max_evals)
+                    assert (inline[0] == share) is (max_evals == needed)
+        assert min(places) >= 100
+
+    def test_readme_collinear_sweep_matches_bitwise(self, monkeypatch, tmp_path):
+        """Every share solve of the README collinear_a sweep, as the sweep asks for it."""
+        solves = []
+        share = allocation._share
+        monkeypatch.setattr(allocation, "_share", lambda *args: solves.append(args) or share(*args))
+        argv = README_RATE_SWEEPS["collinear_a"][0]
+        assert main(["sweep", *argv, "--out", str(tmp_path / "collinear_a.csv")]) == 0
+        monkeypatch.undo()
+        assert len(solves) == 1962
+        for args in solves:
+            inline, reference = _chord_pair(*args, allocation._MAX_EVALS)
+            assert inline == reference, args
+            assert isinstance(inline[0], str)
 
 
 def _bits(run):

@@ -123,8 +123,8 @@ class TestParabolaRoot:
 
     @pytest.mark.parametrize("bound, allocate, gains, lower, beta", [
         (cp_bounds_low_tern, cp_allocate, LinkGains(1e4, 1, 1e-4), 9.90100e-13, 0.005),
-        (ncp_bounds_low_tern, ncp_allocate, LinkGains(1e4, 1, 1e-4), 1.0000000000000751e-10,
-         5.0005e-7),
+        # the parabola value 1.0000000000000751e-10 lies above the upper 9.999999999995001e-11
+        (ncp_bounds_low_tern, ncp_allocate, LinkGains(1e4, 1, 1e-4), 0.0, 5.0005e-7),
         (ncp_bounds_low_tern, ncp_allocate, LinkGains(1, 1e4, 1e-4), 9.99999996e-11, 0.005),
     ])
     def test_share_inside_the_unit_interval(self, bound, allocate, gains, lower, beta):
@@ -133,6 +133,33 @@ class TestParabolaRoot:
         assert pair.beta_at_bound == pytest.approx(beta, rel=1e-6)
         assert pair.lower == pytest.approx(lower, rel=1e-6)
         assert pair.lower <= exact * (1.0 + 1e-5)
+
+
+class TestParabolaValue:
+    """The parabola value stays a lower bound where h_a^2 is not a normal float, and
+    a value above its pair's upper is reported as lower 0."""
+
+    @pytest.mark.parametrize("bound, gains, op, upper", [
+        # h12^2 underflows to 0, which left user 1's whole chord, 9.26e67, as the
+        # lower; the exact rate is 119.27
+        pytest.param(cp_bounds_low_tern, LinkGains(8.05e-183, 7.19e65, 3.45e113),
+                     OperatingPoint(1.15e250, 2.19e-148), 156.4986352644067,
+                     id="cp_square_underflows"),
+        # k*h23*eps is subnormal, so the upper lost its digits below the value 1.11e-165
+        pytest.param(ncp_bounds_low_tern, LinkGains(1, 1, 1e-160), OperatingPoint(1e-160, 1),
+                     1e-320, id="ncp_upper_subnormal"),
+    ])
+    def test_value_above_the_upper_gives_lower_zero(self, bound, gains, op, upper):
+        pair = bound(gains, op)
+        assert (pair.lower, pair.upper) == (0.0, upper)
+
+    def test_square_underflow_keeps_the_parabola_value(self):
+        # h12^2 = 1e-326 underflows to 0: the value was user 1's chord 1e-3, above
+        # the exact rate; a - a*(a/(2*beta)) with beta = 1/2 is 1e-3 - 1e-6
+        gains, op = LinkGains(1e-163, 1, 3e-163), OperatingPoint(1e160, 2)
+        pair = cp_bounds_low_tern(gains, op)
+        assert pair.lower == pytest.approx(0.000999, rel=1e-15)
+        assert pair.lower <= cp_allocate(gains, op).base_rate <= pair.upper
 
 
 class TestSandwichProperty:

@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from relaygain.errors import (InfeasibleRateError, IterationLimitError, NaNResid
 from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
 
 ONES = LinkGains(1, 1, 1)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def slot_oracle(h, eps_user, target, step=1e-7):
@@ -406,6 +409,48 @@ class TestInlineMinTernDrift:
             assert inline == reference
             assert inline[0][0] is IterationLimitError
             assert inline[1] == (1, 5)
+
+    @pytest.mark.parametrize("halvings", [1, 2])
+    def test_limits_at_the_end_of_a_window_match(self, monkeypatch, halvings):
+        monkeypatch.setattr(energy, "_SHARE_HALVINGS", halvings)
+        rng = random.Random(halvings)
+        for _ in range(300):
+            gains = LinkGains(*(math.exp(rng.uniform(-25.0, 25.0)) for _ in range(3)))
+            k, rate = math.exp(rng.uniform(-10.0, 10.0)), math.exp(rng.uniform(-40.0, 9.0))
+            for protocol in Protocol:
+                inline, reference = _crossing_pair(*_min_tern_crossing(protocol, gains, k, rate),
+                                                   3 * halvings)
+                assert inline == reference, (protocol, gains, k, rate)
+                assert inline[0][0] is IterationLimitError
+
+    def test_readme_energy_sweep_matches_bitwise(self, monkeypatch, tmp_path):
+        """Every crossing of the README energy_ratio sweep, as the sweep asks for it."""
+        crossings = []
+        crossing = energy._crossing
+        monkeypatch.setattr(energy, "_crossing",
+                            lambda *args: crossings.append(args) or crossing(*args))
+        assert main(["sweep", "--kind", "energy_ratio", "--d-min", "0.05", "--d-max", "0.95",
+                     "--d-step", "0.01", "--k", "1", "--eta", "3", "--rate", "0.01",
+                     "--out", str(tmp_path / "energy.csv")]) == 0
+        monkeypatch.undo()
+        assert len(crossings) == 182
+        for args in crossings:
+            inline, reference = _crossing_pair(*args, 3 * energy._SHARE_HALVINGS)
+            assert inline == reference, args
+            assert isinstance(inline[0], str)
+
+    def test_bench_demand_pool_matches_bitwise(self):
+        """Every 8th crossing of the energy_dual benchmark's demand pool."""
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        crossings = [_min_tern_crossing(protocol, LinkGains(*d["gains"]), d["k"], d["rate"])
+                     for d in workloads.demand_pool() for protocol in Protocol][::8]
+        assert len(crossings) == 400
+        for args in crossings:
+            inline, reference = _crossing_pair(*args, 3 * energy._SHARE_HALVINGS)
+            assert inline == reference, args
+            assert isinstance(inline[0], str)
 
 
 def _log_uniform(rng, lo, hi):
