@@ -23,10 +23,12 @@ safeguarded Illinois steps of rootfind.solve_monotone, run inline: the
 residual is written out at each evaluation, so a solve calls no function
 per evaluation and builds no Bracket, and each window of three steps is
 written out in full, so no step tests its place in the window (see
-rootfind). It bumps rootfind's solve counters as solve_monotone does. A
-drift test in tests/test_allocation.py pins the two copies together:
-bitwise-equal shares, errors and counts, also where the evaluation limit
-falls inside a window.
+rootfind). The loop runs whole windows up to a limit of 3 * _SHARE_HALVINGS
+evaluations, which no solve reaches; the IterationLimitError after it
+stays as the loop's guard. It bumps rootfind's solve counters as
+solve_monotone does. A drift test in tests/test_allocation.py pins the two
+copies together: bitwise-equal shares, errors and counts, also at limits
+of one and two windows.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ _BETA_HI = 1.0 - 1e-15
 # a chord at or above this overflows log1p(chord/b) at a clamped end, where the
 # residual's sign then says nothing about the root
 _CHORD_MAX = sys.float_info.max * (1.0 - _BETA_HI)
-# bisection reaches adjacent doubles of [_BETA_LO, _BETA_HI] within 103
-# halvings (ulp(1e-15) = 2**-102); the solver halves once per 3 evaluations
-_MAX_EVALS = 3 * 103
+# bisection reaches adjacent doubles of [_BETA_LO, _BETA_HI] within 102
+# halvings, toward _BETA_LO (ulp(1e-15) = 2**-102); the solver halves once per
+# window of 3 evaluations, so no solve reaches 3 * _SHARE_HALVINGS of them
+_SHARE_HALVINGS = 103
 
 
 def _share(kappa: float, chord1: float, chord2: float) -> float:
@@ -61,11 +64,11 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
     sign tests of its value taken in one comparison chain, the side test
     first: the same float operations in the same order, so the share, the
     errors and the _COUNTS deltas are those of solve_monotone(residual,
-    Bracket.scan(residual, _BETA_LO, _BETA_HI), _MAX_EVALS). Each pass of
-    the loop is one window: two secant steps, then a step that bisects
-    unless they halved the bracket. The window's later steps add their
-    place in it to n where they exit, and stop the solve where _MAX_EVALS
-    falls inside the window.
+    Bracket.scan(residual, _BETA_LO, _BETA_HI), 3 * _SHARE_HALVINGS). Each
+    pass of the loop is one window: two secant steps, then a step that
+    bisects unless they halved the bracket. The window's later steps add
+    their place in it to n where they exit. The limit is a whole number of
+    windows, so no step inside a window tests it.
     """
     log1p = math.log1p
     lo, hi = _BETA_LO, _BETA_HI
@@ -75,24 +78,20 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
         raise NaNResidualError(lo if f_lo != f_lo else hi)
     if (f_lo > 0.0) is (f_hi > 0.0) and (f_lo < 0.0) is (f_hi < 0.0):
         raise NoSignChangeError(lo, hi, f_lo, f_hi)
-    max_evals = _MAX_EVALS
     n = 0  # evaluations beyond the bracket's two, at every exit
     try:
         if f_lo == 0.0:
             return lo
         if f_hi == 0.0:
             return hi
+        # the ends are constants far apart: the scan never closes the bracket
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid
-
         lo_negative = f_lo < 0.0
         kept = 0
         width = hi - lo
-        second_last = max_evals - 1  # the n of a window whose second step is the last
         # one window of three steps per pass; n counts the evaluations up to the
         # window's first step, and its later steps add their offset where they exit
-        for n in range(1, max_evals + 1, 3):
+        for n in range(1, 3 * _SHARE_HALVINGS + 1, 3):
             # first step: the secant point
             x = mid
             t = f_lo / (f_lo - f_hi)
@@ -123,8 +122,6 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 return mid
-            if n == max_evals:
-                break
 
             # second step: the secant point
             x = mid
@@ -159,8 +156,6 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
             if mid <= lo or mid >= hi:
                 n += 1
                 return mid
-            if n == second_last:
-                break
 
             # third step: the midpoint, unless the window's first two halved the bracket
             x = mid
@@ -197,8 +192,8 @@ def _share(kappa: float, chord1: float, chord2: float) -> float:
             if mid <= lo or mid >= hi:
                 n += 2
                 return mid
-        n = max_evals
-        raise IterationLimitError(lo, hi, max_evals)
+        n = 3 * _SHARE_HALVINGS
+        raise IterationLimitError(lo, hi, n)
     finally:
         _COUNTS.solves += 1
         _COUNTS.evals += n + 2

@@ -63,8 +63,9 @@ from .rootfind import _COUNTS
 # unused here; bench/spans.py hooks the solver where this module binds it
 from .rootfind import solve_monotone  # noqa: F401
 
-# bisection of [0, 1] reaches adjacent doubles within this many halvings,
-# subnormal shares included; the solver halves once per 3 evaluations
+# bisection of [0, 1] reaches adjacent doubles within 1,074 halvings, toward 0
+# (the subnormal spacing 2**-1074); the solver halves once per window of 3
+# evaluations, so no solve reaches 3 * _SHARE_HALVINGS of them
 _SHARE_HALVINGS = 1100
 # Newton from the right falls onto the slot's root quadratically: 4.1 steps on
 # average and 6 at most over flow_batch passes, 6 at most over Lambert-W draws
@@ -160,9 +161,11 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
     share, the errors and the _COUNTS deltas are those of
     solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0), 3 * _SHARE_HALVINGS).
     Each pass of the loop is one window of three steps, written out as in
-    allocation._share. Every evaluated share lies strictly inside (0, 1),
-    but the share returned where the bracket closes is its midpoint, which
-    can round to an end of [0, 1]: 0.0 at a subnormal rate.
+    allocation._share, and the limit is a whole number of windows, which no
+    solve reaches; the IterationLimitError after the loop stays as its
+    guard. Every evaluated share lies strictly inside (0, 1), but the share
+    returned where the bracket closes is its midpoint, which can round to
+    an end of [0, 1]: 0.0 at a subnormal rate.
     L is written out for u and v rather than called: two helper calls per
     evaluation cost 11% of the energy_dual benchmark's wall time with the
     compact loop, and make the crossings of its demand pool 10% slower with
@@ -172,13 +175,11 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
     # the gap falls from +inf at 0, where a share carries no rate at any TERN, to -inf at 1
     lo, hi, f_lo, f_hi = 0.0, 1.0, inf, -inf
     mid, kept, width = 0.5, 0, 1.0
-    max_iter = 3 * _SHARE_HALVINGS
-    second_last = max_iter - 1  # the n of a window whose second step is the last
     n = 0  # evaluations beyond the bracket's two, at every exit
     try:
         # one window of three steps per pass; n counts the evaluations up to the
         # window's first step, and its later steps add their offset where they exit
-        for n in range(1, max_iter + 1, 3):
+        for n in range(1, 3 * _SHARE_HALVINGS + 1, 3):
             # first step: the secant point
             x = mid
             t = f_lo / (f_lo - f_hi)
@@ -222,8 +223,6 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 return mid
-            if n == max_iter:
-                break
 
             # second step: the secant point
             x = mid
@@ -271,8 +270,6 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
             if mid <= lo or mid >= hi:
                 n += 1
                 return mid
-            if n == second_last:
-                break
 
             # third step: the midpoint, unless the window's first two halved the bracket
             x = mid
@@ -322,8 +319,8 @@ def _crossing(offset: float, rate: float, partner_rate: float) -> float:
             if mid <= lo or mid >= hi:
                 n += 2
                 return mid
-        n = max_iter
-        raise IterationLimitError(lo, hi, max_iter)
+        n = 3 * _SHARE_HALVINGS
+        raise IterationLimitError(lo, hi, n)
     finally:
         _COUNTS.solves += 1
         _COUNTS.evals += n + 2

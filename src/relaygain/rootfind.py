@@ -17,8 +17,11 @@ totals. They write each window of three steps out in full, two secant
 steps and then the third, so that no step pays the window bookkeeping of
 the loop below (its index mod 3, the third-step test, the width update):
 that bookkeeping cost about 7% of a share solve and 8% of a crossing.
-solve_monotone keeps the compact loop, the reference that the drift tests
-of both inline copies compare against.
+Their limits are whole numbers of windows, stated in halvings, and the
+halving bound below keeps every solve under them; the IterationLimitError
+after each loop stays as its guard. solve_monotone keeps the compact
+loop, the reference that the drift tests of both inline copies compare
+against.
 """
 
 from __future__ import annotations

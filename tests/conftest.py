@@ -1,4 +1,5 @@
 import hashlib
+import os
 import platform
 import re
 import sys
@@ -7,6 +8,13 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(README.parent / "src")
+
+# import relaygain from the source tree without an install or PYTHONPATH, here
+# and in the interpreters the tests start
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -229,6 +229,10 @@ class TestInequalitySurvey:
             "h=(0.25,4.0,4.0) eps=1000.0 k=10.0: gain 0.8898 > limit 0.0625")]
         assert calls == {"ncp": 135, "cp": 135}
 
+    def test_unknown_suite_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown suite 'nope'"):
+            verify.run_suite("nope")
+
 
 class TestLimits:
     def test_low_tern_gain_limit_values(self):

@@ -240,6 +240,12 @@ class TestSlotExtremes:
         assert energy._slot_bound(1e-120, math.inf, 1e220) == 0.0
         assert energy._slot_bound(1.0, math.inf, 1e299) == 0.0
 
+    def test_overflowing_share_is_a_validation_error_and_an_infinite_bound(self):
+        # r = target/chord is near 1, so the share c/x near the bound overflows
+        with pytest.raises(ValidationError, match="share for rate 9.999e\\+307 is above"):
+            energy._solve_slot(1e300, 1e8, 0.9999e308)
+        assert energy._slot_bound(1e300, 1e8, 0.9999e308) == math.inf
+
     def test_cli_reports_the_share_error(self, tmp_path, capsys):
         path = tmp_path / "tiny_rate.json"
         path.write_text('{"gains": {"h12": 1, "h13": 1, "h23": 1}, '

@@ -46,6 +46,10 @@ class TestGainsFromPlacement:
         with pytest.raises(GeometryError):
             Placement((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), eta=2.0)
 
+    def test_point_that_is_not_a_tuple_rejected(self):
+        with pytest.raises(ValidationError, match=r"relay must be an \(x, y\) tuple, got \["):
+            Placement((0.0, 0.0), (1.0, 0.0), [1.0, 0.0], eta=2.0)
+
 
 class TestCollinearGains:
     def test_fig3_parameterization(self):

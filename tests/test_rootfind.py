@@ -4,6 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaygain.allocation as allocation
+import relaygain.energy as energy
 import relaygain.rootfind as rootfind
 from relaygain import Bracket, ValidationError, solve_monotone
 from relaygain.errors import IterationLimitError, NaNResidualError, NoSignChangeError
@@ -193,6 +195,28 @@ def test_determinism_bitwise():
 def test_root_at_endpoint_returns_endpoint():
     f = lambda x: x
     assert solve_monotone(f, Bracket.scan(f, 0.0, 1.0), MAX_ITER) == 0.0
+    g = lambda x: x - 1.0
+    assert solve_monotone(g, Bracket.scan(g, 0.0, 1.0), MAX_ITER) == 1.0
+
+
+def test_max_iter_below_one_rejected():
+    f = lambda x: x - 0.5
+    with pytest.raises(ValidationError, match="max_iter must be >= 1, got 0"):
+        solve_monotone(f, Bracket.scan(f, 0.0, 1.0), max_iter=0)
+
+
+def test_inline_limits_lie_beyond_bisection():
+    """No inline solve reaches its limit. Each window of three steps at least halves
+    the bracket, and plain bisection takes the most halvings to adjacent doubles
+    toward the end where the doubles are finest: 102 for the share's
+    [_BETA_LO, _BETA_HI] (ulp(1e-15) = 2**-102), 1,074 for the crossing's [0, 1]
+    (5e-324 at 0), within the 103 and 1,100 windows the two loops allow."""
+    for (lo, hi), halvings, limit in (
+            ((allocation._BETA_LO, allocation._BETA_HI), 102, allocation._SHARE_HALVINGS),
+            ((0.0, 1.0), 1074, energy._SHARE_HALVINGS)):
+        toward_lo = bisection_halvings(lambda x, lo=lo: -1.0 if x == lo else 1.0, lo, hi)
+        toward_hi = bisection_halvings(lambda x, hi=hi: 1.0 if x == hi else -1.0, lo, hi)
+        assert toward_hi < toward_lo == halvings <= limit
 
 
 def test_bad_bracket_rejected():
