@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 import relaygain.allocation as allocation
@@ -13,25 +12,22 @@ from relaygain.cli import main
 from relaygain.errors import (IterationLimitError, NaNResidualError, NoSignChangeError,
                               RelayGainError, ValidationError)
 from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
+from support import log_uniform, outcome, share
 
 LN3 = math.log(3)
 
 
-def ncp_residual(gains, op, beta):
-    return (op.k * beta * np.log1p(gains.h13 * op.epsilon / beta)
-            - (1.0 - beta) * np.log1p(gains.h23 * op.k * op.epsilon / (1.0 - beta)))
+def residual(protocol, gains, op, beta):
+    """The share residual kappa*b*ln(1 + h_first*eps/b) - (1-b)*ln(1 + h23*k*eps/(1-b))."""
+    kappa, h_first = (op.k, gains.h13) if protocol is Protocol.NCP else (op.k + 1.0, gains.h12)
+    return (kappa * beta * math.log1p(h_first * op.epsilon / beta)
+            - (1.0 - beta) * math.log1p(gains.h23 * op.k * op.epsilon / (1.0 - beta)))
 
 
-def cp_residual(gains, op, beta):
-    return ((op.k + 1.0) * beta * np.log1p(gains.h12 * op.epsilon / beta)
-            - (1.0 - beta) * np.log1p(gains.h23 * op.k * op.epsilon / (1.0 - beta)))
-
-
-def grid_argmin(residual_fn, gains, op, step=1e-6):
-    """Independent brute-force oracle: grid point minimizing |residual|."""
-    betas = np.arange(1, int(round(1.0 / step))) * step
-    res = np.abs(residual_fn(gains, op, betas))
-    return float(betas[int(np.argmin(res))])
+def within_four_ulps_and_band(got, reference):
+    """got lies within 4 ulps of the 50-digit share, widened by its rounding band."""
+    beta, _, band = reference
+    return abs(got - beta) <= 4 * math.ulp(float(beta)) + band
 
 
 class TestNcpAllocate:
@@ -43,12 +39,11 @@ class TestNcpAllocate:
         assert alloc.sum_rate == pytest.approx(LN3, abs=1e-11)
 
     def test_matches_brute_force_grid(self):
-        # oracle: step-1e-6 grid argmin of the defining residual
         gains, op = LinkGains(1, 1, 4), OperatingPoint(0.1, 1)
-        beta_grid = grid_argmin(ncp_residual, gains, op)
+        reference = share(Protocol.NCP, 1, 4, 0.1, 1)
         alloc = ncp_allocate(gains, op)
-        assert beta_grid == pytest.approx(0.960526, abs=1e-6)
-        assert alloc.beta == pytest.approx(beta_grid, abs=1e-6)
+        assert float(reference[0]) == pytest.approx(0.960526, abs=1e-6)
+        assert within_four_ulps_and_band(alloc.beta, reference)
         assert alloc.base_rate == pytest.approx(0.0951297646, abs=1e-8)
 
     def test_low_tern_chord_limit(self):
@@ -60,7 +55,7 @@ class TestNcpAllocate:
         for h13, h23, eps, k in [(1, 1, 1, 1), (0.3, 7, 20, 0.4), (5, 0.2, 1e-3, 9)]:
             gains, op = LinkGains(1, h13, h23), OperatingPoint(eps, k)
             alloc = ncp_allocate(gains, op)
-            res = abs(float(ncp_residual(gains, op, alloc.beta)))
+            res = abs(residual(Protocol.NCP, gains, op, alloc.beta))
             assert res <= 1e-10 * (1.0 + alloc.base_rate)
 
     @pytest.mark.parametrize("gains", [(1, 0, 1), (1, 1, 0)])
@@ -74,9 +69,8 @@ class TestNcpAllocate:
 class TestCpAllocate:
     def test_all_ones_frozen_from_grid_oracle(self):
         gains, op = LinkGains(1, 1, 1), OperatingPoint(1, 1)
-        beta_grid = grid_argmin(cp_residual, gains, op)
         alloc = cp_allocate(gains, op)
-        assert alloc.beta == pytest.approx(beta_grid, abs=1e-6)
+        assert within_four_ulps_and_band(alloc.beta, share(Protocol.CP, 1, 1, 1, 1))
         assert alloc.beta == pytest.approx(0.170163, abs=1e-6)
         assert alloc.base_rate == pytest.approx(0.328098, abs=1e-6)
         assert alloc.sum_rate == pytest.approx(0.656196, abs=1e-6)
@@ -98,7 +92,7 @@ class TestCpAllocate:
         for h12, h23, eps, k in [(1, 1, 1, 1), (0.3, 7, 20, 0.4), (5, 0.2, 1e-3, 9)]:
             gains, op = LinkGains(h12, 1, h23), OperatingPoint(eps, k)
             alloc = cp_allocate(gains, op)
-            res = abs(float(cp_residual(gains, op, alloc.beta)))
+            res = abs(residual(Protocol.CP, gains, op, alloc.beta))
             assert res <= 1e-10 * (1.0 + alloc.base_rate)
 
     @pytest.mark.parametrize("gains", [(0, 1, 1), (1, 1, 0)])
@@ -179,51 +173,11 @@ class TestInvariants:
     def test_residual_sign_structure(self):
         # strictly increasing residual, negative near 0 and positive near 1
         gains, op = LinkGains(2.0, 0.7, 1.3), OperatingPoint(3.0, 0.6)
-        grid = np.linspace(1e-6, 1 - 1e-6, 500)
-        for residual_fn in (ncp_residual, cp_residual):
-            values = residual_fn(gains, op, grid)
+        grid = [1e-6 + i * (1 - 2e-6) / 499 for i in range(500)]
+        for protocol in Protocol:
+            values = [residual(protocol, gains, op, beta) for beta in grid]
             assert values[0] < 0 < values[-1]
-            assert np.all(np.diff(values) > 0)
-
-    def test_oracle_equivalence_sampled(self):
-        rng = random.Random(7)
-        for _ in range(10):
-            gains = LinkGains(*(math.exp(rng.uniform(math.log(0.1), math.log(10)))
-                                for _ in range(3)))
-            op = OperatingPoint(10 ** rng.uniform(-3, 2), 10 ** rng.uniform(-1, 1))
-            assert ncp_allocate(gains, op).beta == pytest.approx(
-                grid_argmin(ncp_residual, gains, op), abs=1e-5)
-            assert cp_allocate(gains, op).beta == pytest.approx(
-                grid_argmin(cp_residual, gains, op), abs=1e-5)
-
-
-def mp_share(mp, protocol, gains, op, start):
-    """(beta, base_rate, band) at 50 digits, by Newton steps on the share residual from `start`.
-
-    band bounds how far the root of the float residual may sit from beta: each of
-    the residual's two terms T carries a few rounding errors, so band is
-    3 * 2**-52 * (T1 + T2) / residual'(beta).
-    """
-    with mp.workdps(50):
-        eps, k, h23 = mp.mpf(op.epsilon), mp.mpf(op.k), mp.mpf(gains.h23)
-        c1 = mp.mpf(gains.h13 if protocol is Protocol.NCP else gains.h12) * eps
-        c2 = h23 * k * eps
-        kappa = k if protocol is Protocol.NCP else k + 1
-        beta = mp.mpf(start)
-        for _ in range(8):
-            log1, log2 = mp.log1p(c1 / beta), mp.log1p(c2 / (1 - beta))
-            t1, t2 = kappa * beta * log1, (1 - beta) * log2
-            slope = kappa * (log1 - c1 / (beta + c1)) + log2 - c2 / (1 - beta + c2)
-            step = (t1 - t2) / slope
-            beta -= step
-            if abs(step) <= mp.mpf("1e-45") * beta:
-                band = 3 * mp.mpf(2) ** -52 * (t1 + t2) / slope
-                return beta, beta * mp.log1p(c1 / beta), band
-        raise AssertionError(f"no Newton convergence from {start!r}")
-
-
-def _log_uniform(rng, scale):
-    return math.exp(rng.uniform(-scale, scale))
+            assert all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestShareAgainstMpmath:
@@ -231,14 +185,14 @@ class TestShareAgainstMpmath:
         """Over 600 seeded shares (gains e^+-7, eps e^+-9, k e^+-4.6), each lies
         within 4 ulps of the 50-digit root, widened where the residual's own
         rounding band is wider (about 1 share in 200)."""
-        mp = pytest.importorskip("mpmath")
         rng = random.Random(2008)
         for _ in range(300):
-            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
-            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
-            for alloc in (ncp_allocate(gains, op), cp_allocate(gains, op)):
-                beta, _, band = mp_share(mp, alloc.protocol, gains, op, alloc.beta)
-                assert abs(alloc.beta - beta) <= 4 * math.ulp(float(beta)) + band, (gains, op)
+            gains = LinkGains(*(log_uniform(rng, -7.0, 7.0) for _ in range(3)))
+            op = OperatingPoint(log_uniform(rng, -9.0, 9.0), log_uniform(rng, -4.6, 4.6))
+            for allocate, protocol, h_first in ((ncp_allocate, Protocol.NCP, gains.h13),
+                                                (cp_allocate, Protocol.CP, gains.h12)):
+                reference = share(protocol, h_first, gains.h23, op.epsilon, op.k)
+                assert within_four_ulps_and_band(allocate(gains, op).beta, reference), (gains, op)
 
     def test_evaluations_per_share(self):
         """Residual evaluations per share solve, beyond the bracket's two, on the
@@ -258,16 +212,6 @@ class TestShareAgainstMpmath:
         assert max(counts) <= 3 * allocation._SHARE_HALVINGS
 
 
-def _outcome(run):
-    """(share as hex, or error class and message; solve and evaluation count deltas)."""
-    solves, evals = _COUNTS.solves, _COUNTS.evals
-    try:
-        result = run().hex()
-    except RelayGainError as exc:
-        result = (type(exc), str(exc))
-    return result, (_COUNTS.solves - solves, _COUNTS.evals - evals)
-
-
 def _share_pair(protocol, gains, op, max_iter):
     """The inlined share solve and solve_monotone on the same residual, as outcomes."""
     eps, k = op.epsilon, op.k
@@ -281,8 +225,8 @@ def _chord_pair(kappa, chord1, chord2, max_iter):
     def residual(b):
         return kappa * b * math.log1p(chord1 / b) - (1.0 - b) * math.log1p(chord2 / (1.0 - b))
 
-    inline = _outcome(lambda: allocation._share(kappa, chord1, chord2))
-    reference = _outcome(lambda: solve_monotone(
+    inline = outcome(lambda: allocation._share(kappa, chord1, chord2))
+    reference = outcome(lambda: solve_monotone(
         residual, Bracket.scan(residual, allocation._BETA_LO, allocation._BETA_HI), max_iter))
     return inline, reference
 
@@ -294,8 +238,8 @@ class TestInlineShareDrift:
         rng = random.Random(1971)
         solved = 0
         for _ in range(2000):
-            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
-            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            gains = LinkGains(*(log_uniform(rng, -7.0, 7.0) for _ in range(3)))
+            op = OperatingPoint(log_uniform(rng, -9.0, 9.0), log_uniform(rng, -4.6, 4.6))
             for protocol in Protocol:
                 inline, reference = _share_pair(protocol, gains, op, 3 * allocation._SHARE_HALVINGS)
                 assert inline == reference, (protocol, gains, op)
@@ -328,8 +272,8 @@ class TestInlineShareDrift:
         rng = random.Random(3 * halvings)
         limited = 0
         for _ in range(300):
-            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
-            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            gains = LinkGains(*(log_uniform(rng, -7.0, 7.0) for _ in range(3)))
+            op = OperatingPoint(log_uniform(rng, -9.0, 9.0), log_uniform(rng, -4.6, 4.6))
             for protocol in Protocol:
                 inline, reference = _share_pair(protocol, gains, op, 3 * halvings)
                 assert inline == reference, (protocol, gains, op)
@@ -389,8 +333,8 @@ class TestRatesCore:
         rng = random.Random(1923)
         solved = 0
         for _ in range(2000):
-            gains = LinkGains(*(_log_uniform(rng, 7.0) for _ in range(3)))
-            op = OperatingPoint(_log_uniform(rng, 9.0), _log_uniform(rng, 4.6))
+            gains = LinkGains(*(log_uniform(rng, -7.0, 7.0) for _ in range(3)))
+            op = OperatingPoint(log_uniform(rng, -9.0, 9.0), log_uniform(rng, -4.6, 4.6))
             eps, k = op.epsilon, op.k
             for allocate, kappa, h_first in ((ncp_allocate, k, gains.h13),
                                              (cp_allocate, k + 1.0, gains.h12)):
@@ -459,8 +403,8 @@ def test_readme_rate_csv_matches_mpmath(name, tmp_path, readme_csv_sha256):
         if rows[i]["degenerate"] == "true":
             continue
         row, (gains, op) = rows[i], points[i]
-        beta_ncp, rate_ncp, _ = mp_share(mp, Protocol.NCP, gains, op, ncp_allocate(gains, op).beta)
-        beta_cp, rate_cp, _ = mp_share(mp, Protocol.CP, gains, op, cp_allocate(gains, op).beta)
+        beta_ncp, rate_ncp, _ = share(Protocol.NCP, gains.h13, gains.h23, op.epsilon, op.k)
+        beta_cp, rate_cp, _ = share(Protocol.CP, gains.h12, gains.h23, op.epsilon, op.k)
         with mp.workdps(50):
             gain = rate_cp / rate_ncp
         expected = {"gain": gain, "beta_ncp": beta_ncp, "beta_cp": beta_cp,

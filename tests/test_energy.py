@@ -1,11 +1,8 @@
 import csv
-import importlib.util
 import math
 import random
 import sys
-from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,16 +14,9 @@ from relaygain.cli import main
 from relaygain.errors import (InfeasibleRateError, IterationLimitError, NaNResidualError,
                               RelayGainError, ValidationError)
 from relaygain.rootfind import _COUNTS, Bracket, solve_monotone
+from support import bench_module, log_uniform, min_tern as reference_min_tern, outcome, slot
 
 ONES = LinkGains(1, 1, 1)
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def slot_oracle(h, eps_user, target, step=1e-7):
-    """Brute-force grid solve of beta*ln(1 + h*eps_user/beta) = target."""
-    betas = np.arange(1, 4_000_000) * step
-    values = betas * np.log1p(h * eps_user / betas)
-    return float(betas[int(np.argmin(np.abs(values - target)))])
 
 
 class TestMinTern:
@@ -150,14 +140,14 @@ class TestResourceUsage:
         assert usage.beta1 == pytest.approx(0.0751766918, abs=1e-9)
         assert usage.beta2 == pytest.approx(usage.beta1, rel=1e-12)
         assert usage.total == usage.beta1 + usage.beta2
-        assert usage.beta1 == pytest.approx(slot_oracle(1.0, 1.0, 0.2), abs=2e-7)
+        assert usage.beta1 == pytest.approx(float(slot(1.0, 1.0, 0.2)), rel=1e-14)
 
     def test_cp_frozen_and_grid_checked(self):
         usage = resource_usage(Protocol.CP, ONES, OperatingPoint(1, 1), 0.2)
         assert usage.beta1 == pytest.approx(0.0751766918, abs=1e-9)
         assert usage.beta2 == pytest.approx(0.2470984274, abs=1e-9)
         assert usage.total == pytest.approx(0.3222751191, abs=1e-9)
-        assert usage.beta2 == pytest.approx(slot_oracle(1.0, 1.0, 0.4), abs=2e-7)
+        assert usage.beta2 == pytest.approx(float(slot(1.0, 1.0, 0.4)), rel=1e-14)
 
     def test_infeasible_rate_is_structured(self):
         with pytest.raises(InfeasibleRateError) as err:
@@ -336,6 +326,16 @@ class TestSolveCounts:
                 assert "float range" in str(exc)
 
 
+@pytest.mark.parametrize("target", [0.2, 0.9], ids=["steps_in_u", "steps_in_x"])
+def test_slot_newton_cap_raises(monkeypatch, target):
+    # at r = target/chord <= 1/2 Newton steps in u = r*x, above it in x; one step
+    # reaches neither root
+    monkeypatch.setattr(energy, "_SLOT_NEWTON_CAP", 1)
+    with pytest.raises(IterationLimitError) as err:
+        energy._solve_slot(1.0, 1.0, target)
+    assert err.value.iterations == 1
+
+
 def _log_expm1_ratio(x):
     """ln(expm1(x)/x) for x > 0, finite where expm1 overflows and +inf at x = inf."""
     if x > 1.0:
@@ -343,16 +343,6 @@ def _log_expm1_ratio(x):
     if x < 1e-3:
         return x * (0.5 + x * (1.0 / 24.0 - x * x / 2880.0))
     return math.log(math.expm1(x) / x)
-
-
-def _outcome(run):
-    """(share as hex, or error class and message; solve and evaluation count deltas)."""
-    solves, evals = _COUNTS.solves, _COUNTS.evals
-    try:
-        result = run().hex()
-    except RelayGainError as exc:
-        result = (type(exc), str(exc))
-    return result, (_COUNTS.solves - solves, _COUNTS.evals - evals)
 
 
 def _crossing_pair(offset, rate, partner_rate, max_iter):
@@ -365,8 +355,8 @@ def _crossing_pair(offset, rate, partner_rate, max_iter):
             return -math.inf
         return offset + _log_expm1_ratio(rate / b) - _log_expm1_ratio(partner_rate / (1.0 - b))
 
-    inline = _outcome(lambda: energy._crossing(offset, rate, partner_rate))
-    reference = _outcome(lambda: solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0), max_iter))
+    inline = outcome(lambda: energy._crossing(offset, rate, partner_rate))
+    reference = outcome(lambda: solve_monotone(gap, Bracket.scan(gap, 0.0, 1.0), max_iter))
     return inline, reference
 
 
@@ -447,41 +437,13 @@ class TestInlineMinTernDrift:
 
     def test_bench_demand_pool_matches_bitwise(self):
         """Every 8th crossing of the energy_dual benchmark's demand pool."""
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         crossings = [_min_tern_crossing(protocol, LinkGains(*d["gains"]), d["k"], d["rate"])
-                     for d in workloads.demand_pool() for protocol in Protocol][::8]
+                     for d in bench_module("workloads").demand_pool() for protocol in Protocol][::8]
         assert len(crossings) == 400
         for args in crossings:
             inline, reference = _crossing_pair(*args, 3 * energy._SHARE_HALVINGS)
             assert inline == reference, args
             assert isinstance(inline[0], str)
-
-
-def _log_uniform(rng, lo, hi):
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-
-def mp_min_tern(mp, protocol, gains, k, rate):
-    """(ln eps_min, beta) at 50 digits, where both users' constraints bind:
-    b*expm1(R/b)/h_first = (1-b)*expm1(w*R/(1-b))/(k*h23), w = k (NCP) or k+1 (CP)."""
-    with mp.workdps(50):
-        k, rate = mp.mpf(k), mp.mpf(rate)
-        h_first = mp.mpf(gains.h13 if protocol is Protocol.NCP else gains.h12)
-        h23 = mp.mpf(gains.h23)
-        w = k if protocol is Protocol.NCP else k + 1
-
-        def log_eps1(b):
-            return mp.log(b) + mp.log(mp.expm1(rate / b)) - mp.log(h_first)
-
-        def log_eps2(b):
-            return mp.log(1 - b) + mp.log(mp.expm1(w * rate / (1 - b))) - mp.log(k * h23)
-
-        tiny = mp.mpf("1e-45")
-        beta = mp.findroot(lambda b: log_eps2(b) - log_eps1(b), (tiny, 1 - tiny),
-                           solver="anderson")
-        return log_eps1(beta), beta
 
 
 class TestMinTernAgainstMpmath:
@@ -491,11 +453,12 @@ class TestMinTernAgainstMpmath:
         log_max = math.log(sys.float_info.max)
         matched = 0
         for _ in range(600):
-            gains = LinkGains(*(_log_uniform(rng, 1e-3, 1e3) for _ in range(3)))
-            k = _log_uniform(rng, 1e-2, 1e2)
-            rate = _log_uniform(rng, 1e-10, 300.0)
+            gains = LinkGains(*(log_uniform(rng, math.log(1e-3), math.log(1e3)) for _ in range(3)))
+            k = log_uniform(rng, math.log(1e-2), math.log(1e2))
+            rate = log_uniform(rng, math.log(1e-10), math.log(300.0))
             for protocol in Protocol:
-                log_eps, beta = mp_min_tern(mp, protocol, gains, k, rate)
+                h_first = gains.h13 if protocol is Protocol.NCP else gains.h12
+                log_eps, beta = reference_min_tern(protocol, h_first, gains.h23, k, rate)
                 if log_eps > log_max:
                     with pytest.raises(ValidationError, match="outside the float range"):
                         min_tern(protocol, gains, k, rate)
@@ -521,25 +484,13 @@ class TestMinTernAgainstMpmath:
         for d, row in zip(grid, rows):
             assert row["feasible"] == "true"
             gains = collinear_gains(d, 3.0)
-            eps_ncp = mp.exp(mp_min_tern(mp, Protocol.NCP, gains, 1.0, 0.01)[0])
-            eps_cp = mp.exp(mp_min_tern(mp, Protocol.CP, gains, 1.0, 0.01)[0])
-            expected = {"energy_ratio": eps_ncp / eps_cp, "eps_ncp": eps_ncp, "eps_cp": eps_cp}
+            with mp.workdps(50):
+                eps_ncp = mp.exp(reference_min_tern(Protocol.NCP, gains.h13, gains.h23, 1.0, 0.01)[0])
+                eps_cp = mp.exp(reference_min_tern(Protocol.CP, gains.h12, gains.h23, 1.0, 0.01)[0])
+                expected = {"energy_ratio": eps_ncp / eps_cp, "eps_ncp": eps_ncp, "eps_cp": eps_cp}
             assert {c: row[c] for c in expected} == {
                 c: format(float(v), ".12g") for c, v in expected.items()}, f"d={d!r}"
         readme_csv_sha256(out, "energy.csv")
-
-
-def mp_slot(mp, h, eps_user, target, start):
-    """beta with beta*ln(1 + h*eps_user/beta) = target at 50 digits, by Newton steps from `start`."""
-    with mp.workdps(50):
-        chord, target, beta = mp.mpf(h) * mp.mpf(eps_user), mp.mpf(target), mp.mpf(start)
-        for _ in range(8):
-            log_term = mp.log1p(chord / beta)
-            step = (beta * log_term - target) / (log_term - chord / (beta + chord))
-            beta -= step
-            if abs(step) <= mp.mpf("1e-45") * beta:
-                return beta
-        raise AssertionError(f"no Newton convergence from {start!r}")
 
 
 class TestResourceAgainstMpmath:
@@ -562,13 +513,11 @@ class TestResourceAgainstMpmath:
             totals = {}
             with mp.workdps(50):
                 for protocol in Protocol:
-                    usage = resource_usage(protocol, gains, op, rate)
                     h_first = gains.h13 if protocol is Protocol.NCP else gains.h12
                     kappa = op.k if protocol is Protocol.NCP else op.k + 1
                     totals[protocol] = (
-                        mp_slot(mp, h_first, op.epsilon, rate, usage.beta1)
-                        + mp_slot(mp, gains.h23, mp.mpf(op.k) * op.epsilon, mp.mpf(kappa) * rate,
-                                  usage.beta2))
+                        slot(h_first, op.epsilon, rate)
+                        + slot(gains.h23, mp.mpf(op.k) * op.epsilon, mp.mpf(kappa) * rate))
                 expected = {"resource_ratio": totals[Protocol.NCP] / totals[Protocol.CP],
                             "total_ncp": totals[Protocol.NCP], "total_cp": totals[Protocol.CP]}
             assert {c: row[c] for c in expected} == {
@@ -582,7 +531,8 @@ def slot_draws(count, seed):
     finite and the target a positive float below it."""
     rng = random.Random(seed)
     for i in range(count):
-        r = _log_uniform(rng, 1e-9, 0.5) if i % 2 else 1.0 - _log_uniform(rng, 1e-11, 0.5)
+        r = (log_uniform(rng, math.log(1e-9), math.log(0.5)) if i % 2
+             else 1.0 - log_uniform(rng, math.log(1e-11), math.log(0.5)))
         while True:
             h, eps_user = math.exp(rng.uniform(-690, 690)), math.exp(rng.uniform(-690, 690))
             target = r * (h * eps_user)
@@ -591,21 +541,11 @@ def slot_draws(count, seed):
                 break
 
 
-def mp_lambert_slot(mp, h, eps_user, target):
-    """beta = c/x at 50 digits, c = h*eps_user exactly, with x = -W_{-1}(-r e^{-r})/r - 1
-    the root of log1p(x) = r*x, r = target/c."""
-    with mp.workdps(50):
-        chord = mp.mpf(h) * mp.mpf(eps_user)
-        r = mp.mpf(target) / chord
-        return chord / (-mp.lambertw(-r * mp.exp(-r), -1).real / r - 1)
-
-
 class TestSlotAgainstLambertW:
     def test_draws_match_or_raise_out_of_float_range(self):
-        mp = pytest.importorskip("mpmath")
         matched = 0
         for h, eps_user, target in slot_draws(2000, seed=23):
-            beta = mp_lambert_slot(mp, h, eps_user, target)
+            beta = slot(h, eps_user, target)
             if not sys.float_info.min <= beta <= sys.float_info.max:
                 with pytest.raises(ValidationError, match="float range"):
                     energy._solve_slot(h, eps_user, target)
@@ -656,7 +596,6 @@ class TestSlotBound:
         (0.7, 1e-290, 1e-300),              # chord near the bottom of the float range
     ])
     def test_bound_against_lambert_w(self, h, eps_user, target):
-        mp = pytest.importorskip("mpmath")
         bound = energy._slot_bound(h, eps_user, target)
         assert 0.0 < bound <= energy._solve_slot(h, eps_user, target)
-        assert mp.mpf(bound) <= mp_lambert_slot(mp, h, eps_user, target)
+        assert bound <= slot(h, eps_user, target)

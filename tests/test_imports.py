@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -16,8 +15,7 @@ import relaygain.geometry as geometry
 import relaygain.model as model
 import relaygain.selection as selection
 import relaygain.verify as verify
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from support import bench_module
 
 # the modules only some subcommands run
 ON_DEMAND = {"relaygain.bounds", "relaygain.geometry", "relaygain.selection", "relaygain.verify"}
@@ -42,14 +40,6 @@ PUBLIC_NAMES = [
     "solve_monotone", "sweep",
     "sweep_columns",
 ]
-
-
-def bench_spans():
-    """bench/spans.py, the benchmark's tracer, loaded as a module."""
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
 
 
 def loaded_after(code: str) -> set[str]:
@@ -168,7 +158,7 @@ class TestCliBindings:
         # _LAZY lists its names as strings, so every Name read is outside it
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        hooked = {path for _, module, path, _ in bench_spans()._targets()
+        hooked = {path for _, module, path, _ in bench_module("spans")._targets()
                   if module == "relaygain.cli"}
         dead = [name for names in cli._LAZY.values() for name in names
                 if name not in read | hooked]
@@ -193,7 +183,7 @@ class TestBenchHooks:
     def test_every_span_target_resolves(self):
         """The benchmark's tracer hooks each name where a module binds it; every one
         must still be there, or the traced run reports its layer metrics absent."""
-        spans = bench_spans()
+        spans = bench_module("spans")
         missing = []
         for _, module, path, _ in spans._targets():
             try:

@@ -3,7 +3,7 @@
 import pytest
 
 import relaygain
-from relaygain import Allocation, Protocol
+from relaygain import Allocation, Protocol, SelectionDecision, ValidationError
 from relaygain.rootfind import Bracket
 
 _NCP = Allocation(Protocol.NCP, 0.9, 0.4, 0.2, 0.6)
@@ -74,3 +74,17 @@ def test_record_contract(name):
 def test_bracket_scan_is_in_its_own_class_dict():
     # the benchmark's tracer hooks Bracket.scan through vars(Bracket)
     assert "scan" in vars(Bracket)
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (Allocation, (Protocol.NCP, 1.0, 0.1, 0.1, 0.2), "beta must lie in (0, 1), got 1.0"),
+    (Allocation, (Protocol.NCP, 0.5, -1e-300, 0.0, 0.0), "base_rate must be >= 0, got -1e-300"),
+    (SelectionDecision, (Protocol.CP, None, 1.0),
+     "relay_id must be present exactly when protocol is CP"),
+    (SelectionDecision, (Protocol.NCP, "a", 1.0),
+     "relay_id must be present exactly when protocol is CP"),
+], ids=["beta_at_1", "negative_base_rate", "cp_without_relay", "ncp_with_relay"])
+def test_inconsistent_fields_are_rejected(cls, args, message):
+    with pytest.raises(ValidationError) as err:
+        cls(*args)
+    assert str(err.value) == message

@@ -199,6 +199,15 @@ def test_root_at_endpoint_returns_endpoint():
     assert solve_monotone(g, Bracket.scan(g, 0.0, 1.0), MAX_ITER) == 1.0
 
 
+def test_adjacent_ends_return_before_any_evaluation():
+    """The midpoint of adjacent doubles rounds onto an end: the solve returns it
+    without calling f and counts only its bracket's two evaluations."""
+    before = rootfind._COUNTS.solves, rootfind._COUNTS.evals
+    bracket = Bracket(1.0, math.nextafter(1.0, 2.0), -1e-17, 2e-16)
+    assert solve_monotone(lambda x: pytest.fail("f was called"), bracket, MAX_ITER) == 1.0
+    assert (rootfind._COUNTS.solves - before[0], rootfind._COUNTS.evals - before[1]) == (1, 2)
+
+
 def test_max_iter_below_one_rejected():
     f = lambda x: x - 0.5
     with pytest.raises(ValidationError, match="max_iter must be >= 1, got 0"):

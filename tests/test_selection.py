@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +11,7 @@ from relaygain import (Flow, LinkGains, OperatingPoint, Protocol, RelayCandidate
                        rate_energy_score, select_relay_rate, select_relay_resource)
 from relaygain.energy import _pair_slots, _shortfall, _slot_bound
 from relaygain.errors import NoFeasibleOptionError, RelayGainError, ValidationError
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from support import bench_module
 
 
 class TestScore:
@@ -274,10 +271,7 @@ def random_flows(seed, count, lo, hi):
 
 
 def bench_flow_pool():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for f in workloads.flow_pool():
+    for f in bench_module("workloads").flow_pool():
         yield (f["h_sd"], [RelayCandidate(*c) for c in f["candidates"]],
                OperatingPoint(f["epsilon"], f["k"]), f["rate"])
 
