@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import stat
 import sys
@@ -22,7 +21,6 @@ from .allocation import collaboration_gain, cp_allocate, ncp_allocate
 from .energy import min_tern, resource_usage
 from .errors import RelayGainError, ValidationError
 from .model import Protocol
-from .scenario import load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -33,12 +31,14 @@ EXIT_IO = 4
 # are bound here on first use: by main() before it dispatches a subcommand
 # that needs them, or by an attribute access such as `relaygain.cli.sweep`.
 # A name bound already keeps its value, so a wrapper set here stays in place.
+# Only the scenario reports load `scenario`, and json, which cmd_report uses too.
 # `sweep` is bound for bench/spans.py's hook until ROADMAP item 9 replaces it.
 _LAZY = {
     "bounds": ("cp_bounds_high_tern", "cp_bounds_low_tern", "high_tern_gain_limit",
                "low_tern_gain_limit", "ncp_bounds_high_tern", "ncp_bounds_low_tern"),
     "geometry": ("max_geometric_gain", "optimal_relay_location", "render_sweep", "sweep",
                  "sweep_columns"),
+    "scenario": ("load_scenario",),
     "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
     "verify": ("run_suite",),
 }
@@ -213,6 +213,7 @@ def cmd_report(args) -> int:
     """
     payload, lines = globals()[args.report](load_scenario(args.scenario), args)
     if args.format == "json":
+        import json
         print(json.dumps(payload, indent=2))
     else:
         for line in lines:
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(func="cmd_report", report=report, needs=needs)
+        p.set_defaults(func="cmd_report", report=report, needs=("scenario", *needs))
         return p
 
     add_report("gain", "report_gain", "optimal allocations for both protocols and the rate gain")

@@ -38,7 +38,7 @@ class TestNcpAllocate:
         assert alloc.base_rate == pytest.approx(0.5 * LN3, abs=1e-12)
         assert alloc.sum_rate == pytest.approx(LN3, abs=1e-11)
 
-    def test_matches_brute_force_grid(self):
+    def test_matches_the_50_digit_share(self):
         gains, op = LinkGains(1, 1, 4), OperatingPoint(0.1, 1)
         reference = share(Protocol.NCP, 1, 4, 0.1, 1)
         alloc = ncp_allocate(gains, op)
@@ -67,7 +67,7 @@ class TestNcpAllocate:
 
 
 class TestCpAllocate:
-    def test_all_ones_frozen_from_grid_oracle(self):
+    def test_all_ones_frozen_and_matches_the_50_digit_share(self):
         gains, op = LinkGains(1, 1, 1), OperatingPoint(1, 1)
         alloc = cp_allocate(gains, op)
         assert within_four_ulps_and_band(alloc.beta, share(Protocol.CP, 1, 1, 1, 1))

@@ -135,14 +135,14 @@ class TestServability:
 
 
 class TestResourceUsage:
-    def test_ncp_frozen_and_grid_checked(self):
+    def test_ncp_frozen_and_matches_the_50_digit_slot(self):
         usage = resource_usage(Protocol.NCP, ONES, OperatingPoint(1, 1), 0.2)
         assert usage.beta1 == pytest.approx(0.0751766918, abs=1e-9)
         assert usage.beta2 == pytest.approx(usage.beta1, rel=1e-12)
         assert usage.total == usage.beta1 + usage.beta2
         assert usage.beta1 == pytest.approx(float(slot(1.0, 1.0, 0.2)), rel=1e-14)
 
-    def test_cp_frozen_and_grid_checked(self):
+    def test_cp_frozen_and_matches_the_50_digit_slot(self):
         usage = resource_usage(Protocol.CP, ONES, OperatingPoint(1, 1), 0.2)
         assert usage.beta1 == pytest.approx(0.0751766918, abs=1e-9)
         assert usage.beta2 == pytest.approx(0.2470984274, abs=1e-9)

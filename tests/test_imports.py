@@ -13,15 +13,19 @@ import relaygain
 import relaygain.cli as cli
 import relaygain.geometry as geometry
 import relaygain.model as model
+import relaygain.scenario as scenario
 import relaygain.selection as selection
 import relaygain.verify as verify
 from support import bench_module
 
 # the modules only some subcommands run
-ON_DEMAND = {"relaygain.bounds", "relaygain.geometry", "relaygain.selection", "relaygain.verify"}
+ON_DEMAND = {"relaygain.bounds", "relaygain.geometry", "relaygain.scenario", "relaygain.selection",
+             "relaygain.verify"}
 # standard modules no relaygain import may load: dataclasses alone takes ~12 ms
 # to import, since it pulls in inspect, ast, dis and tokenize
 HEAVY = {"dataclasses", "inspect"}
+# a standard module only the scenario reports need, which loaded_after watches too
+WATCHED = HEAVY | {"json"}
 
 PUBLIC_NAMES = [
     "Allocation", "BoundPair", "Bracket", "EnergySolution", "Flow", "FlowResult",
@@ -43,11 +47,12 @@ PUBLIC_NAMES = [
 
 
 def loaded_after(code: str) -> set[str]:
-    """The relaygain modules, and those of HEAVY, a fresh interpreter holds after
-    running `code`."""
-    script = (f"{code}\nimport json, sys\n"
-              "print(json.dumps(sorted(m for m in sys.modules\n"
-              f"                         if m.startswith('relaygain') or m in {HEAVY!r})))")
+    """The relaygain modules, and those of WATCHED, a fresh interpreter holds after
+    running `code`: listed before the probe imports anything to print them."""
+    script = (f"import sys\n{code}\n"
+              "_probe = sorted(m for m in sys.modules\n"
+              f"               if m.startswith('relaygain') or m in {sorted(WATCHED)!r})\n"
+              "import json\nprint(json.dumps(_probe))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -60,8 +65,17 @@ class TestColdStart:
     def test_cli_import_loads_only_the_eager_core(self):
         assert loaded_after("import relaygain.cli") == {
             "relaygain", "relaygain.cli", "relaygain.errors", "relaygain.model",
-            "relaygain.rootfind", "relaygain.scenario", "relaygain.allocation",
-            "relaygain.energy"}
+            "relaygain.rootfind", "relaygain.allocation", "relaygain.energy"}
+
+    def test_sweep_and_verify_load_no_scenario_reader(self, tmp_path):
+        """Neither reads a scenario, so neither loads its reader or json."""
+        sweep = ["sweep", "--kind", "collinear_gain", "--d-min", "0.2", "--d-max", "0.8",
+                 "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "2",
+                 "--out", str(tmp_path / "sweep.csv")]
+        for argv in (sweep, ["verify", "--suite", "limits"]):
+            loaded = loaded_after("from relaygain.cli import main\n"
+                                  f"assert main({argv!r}) == 0")
+            assert not loaded & {"relaygain.scenario", *WATCHED}, argv[0]
 
     def test_no_record_import_loads_dataclasses(self):
         # verify imports every other module
@@ -69,12 +83,13 @@ class TestColdStart:
 
     # (subcommand argv, the on-demand modules it may load)
     SUBCOMMANDS = {
-        "gain": (["gain"], set()),
-        "energy": (["energy"], set()),
-        "resource": (["resource"], set()),
-        "bounds": (["bounds"], {"relaygain.bounds"}),
-        "select": (["select"], {"relaygain.selection"}),
-        "select_resource": (["select", "--mode", "resource"], {"relaygain.selection"}),
+        "gain": (["gain"], {"relaygain.scenario"}),
+        "energy": (["energy"], {"relaygain.scenario"}),
+        "resource": (["resource"], {"relaygain.scenario"}),
+        "bounds": (["bounds"], {"relaygain.scenario", "relaygain.bounds"}),
+        "select": (["select"], {"relaygain.scenario", "relaygain.selection"}),
+        "select_resource": (["select", "--mode", "resource"],
+                            {"relaygain.scenario", "relaygain.selection"}),
     }
 
     @pytest.mark.parametrize("case", sorted(SUBCOMMANDS))
@@ -99,7 +114,7 @@ class TestColdStart:
         path.write_text(json.dumps(doc))
         loaded = loaded_after("from relaygain.cli import main\n"
                               f"assert main(['placement', '--scenario', {str(path)!r}]) == 0")
-        assert loaded & ON_DEMAND == {"relaygain.geometry"}
+        assert loaded & ON_DEMAND == {"relaygain.scenario", "relaygain.geometry"}
         assert not loaded & HEAVY
 
 
@@ -177,6 +192,21 @@ class TestCliBindings:
                        "--out", str(tmp_path / "sweep.csv")])
         assert rc == 0
         assert calls == ["collinear_gain"]
+
+    def test_scenario_wrapper_set_before_main_stays_in_place(self, tmp_path, monkeypatch):
+        """bench/spans.py wraps cli.load_scenario, which main binds on demand."""
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return scenario.load_scenario(path)
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"gains": {"h12": 1.0, "h13": 1.0, "h23": 1.0},
+                                    "operating": {"epsilon": 1.0, "k": 1.0}}))
+        monkeypatch.setattr(cli, "load_scenario", counting)
+        assert cli.main(["gain", "--scenario", str(path)]) == 0
+        assert calls == [str(path)]
 
 
 class TestBenchHooks:
