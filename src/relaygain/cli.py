@@ -30,7 +30,8 @@ EXIT_IO = 4
 # Names that only some subcommands call, by home module. Each module's names
 # are bound here on first use: by main() before it dispatches a subcommand
 # that needs them, or by an attribute access such as `relaygain.cli.sweep`.
-# A name bound already keeps its value, so a wrapper set here stays in place.
+# A name bound already keeps its value, so a wrapper set here stays in place,
+# and once bound it is an ordinary global: deleted, it stays absent.
 # Only the scenario reports load `scenario`, and json, which cmd_report uses too.
 # `sweep` is bound for bench/spans.py's hook until ROADMAP item 9 replaces it.
 _LAZY = {
@@ -42,6 +43,7 @@ _LAZY = {
     "selection": ("evaluate_network", "select_relay_rate", "select_relay_resource"),
     "verify": ("run_suite",),
 }
+_bound: set[str] = set()  # the modules whose names _bind has bound
 
 # The parser's choices, copied so that building it imports neither geometry
 # nor verify: geometry.SWEEP_KINDS, geometry.SWEEP_PARAMETERS, verify.SUITES.
@@ -55,11 +57,12 @@ def _bind(module: str) -> None:
     home = import_module(f".{module}", __package__)
     for name in _LAZY[module]:
         globals().setdefault(name, getattr(home, name))
+    _bound.add(module)
 
 
 def __getattr__(name: str):
     for module, names in _LAZY.items():
-        if name in names:
+        if name in names and module not in _bound:
             _bind(module)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -180,33 +180,26 @@ class TestCliBindings:
         assert dead == []
 
     def test_wrapper_set_before_main_stays_in_place(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(kind, params, coords, cells):
-            calls.append(kind)
-            return geometry.render_sweep(kind, params, coords, cells)
-
-        monkeypatch.setattr(cli, "render_sweep", counting)
-        rc = cli.main(["sweep", "--kind", "collinear_gain", "--d-min", "0.2", "--d-max", "0.8",
-                       "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "2",
-                       "--out", str(tmp_path / "sweep.csv")])
-        assert rc == 0
-        assert calls == ["collinear_gain"]
-
-    def test_scenario_wrapper_set_before_main_stays_in_place(self, tmp_path, monkeypatch):
-        """bench/spans.py wraps cli.load_scenario, which main binds on demand."""
-        calls = []
-
-        def counting(path):
-            calls.append(path)
-            return scenario.load_scenario(path)
-
+        """main binds each on-demand name around a wrapper set before it, as
+        bench/spans.py sets one on render_sweep and on load_scenario."""
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"gains": {"h12": 1.0, "h13": 1.0, "h23": 1.0},
                                     "operating": {"epsilon": 1.0, "k": 1.0}}))
-        monkeypatch.setattr(cli, "load_scenario", counting)
-        assert cli.main(["gain", "--scenario", str(path)]) == 0
-        assert calls == [str(path)]
+        sweep = ["sweep", "--kind", "collinear_gain", "--d-min", "0.2", "--d-max", "0.8",
+                 "--d-step", "0.2", "--epsilon", "0.01", "--k", "1", "--eta", "2",
+                 "--out", str(tmp_path / "sweep.csv")]
+        cases = [(geometry.render_sweep, sweep, "collinear_gain"),
+                 (scenario.load_scenario, ["gain", "--scenario", str(path)], str(path))]
+        for home, argv, first in cases:
+            calls = []
+
+            def counting(*args, home=home):
+                calls.append(args[0])
+                return home(*args)
+
+            monkeypatch.setattr(cli, home.__name__, counting)
+            assert cli.main(argv) == 0
+            assert calls == [first], home.__name__
 
 
 class TestBenchHooks:
@@ -221,3 +214,9 @@ class TestBenchHooks:
             except (AttributeError, KeyError, ImportError) as exc:
                 missing.append(f"{module} {path}: {exc!r}")
         assert not missing
+
+    def test_deleted_target_stays_absent(self, monkeypatch):
+        """Once bound, an on-demand name is an ordinary global: deleted, the
+        tracer finds it absent and reports its metrics absent, not rebound."""
+        monkeypatch.delattr(cli, "load_scenario")
+        assert not hasattr(cli, "load_scenario")
