@@ -38,15 +38,18 @@ Math. 18, 1971), scaled into [1/4, 1) by a power of two, so 1 - r is exact
 g is evaluated as x*((log1p(x)/x - 1) + (1 - r)), by a series below
 x = 0.05, and beta = c/x. Otherwise the same Newton runs in u = r*x, which
 is ln(1 + x) at the root and cannot overflow, from L + ln(L+1) + 1 with
-L = ln(1/r), and beta = target/u. Against 50-digit mpmath the share is
-within 6e-16 relative for r up to 1/2 and for 1 - r from 1e-11 to 0.02, and
-within 4e-15 in between, where log1p(x)/x - 1 still cancels. A share
-outside the normal float range is a ValidationError. Since x only falls
-from its start, the share at the start bounds the slot from below
-(_slot_bound); resource selection prunes options with it. The start
-(_slot_start) is computed once per slot: selection takes an option's bound
-from it and, if it solves the option, hands the same start to _solve_slot,
-which computes a start itself only when given none.
+L = ln(1/r), and beta = target/u; where the chord is a normal double and
+r > 1e-300, r there is the plain quotient target/chord, the same double as
+the scaled one, since scaling by a power of two is exact in the normal
+range and both divisions round the same real number. Against 50-digit
+mpmath the share is within 6e-16 relative for r up to 1/2 and for 1 - r
+from 1e-11 to 0.02, and within 4e-15 in between, where log1p(x)/x - 1
+still cancels. A share outside the normal float range is a
+ValidationError. Since x only falls from its start, the share at the start
+bounds the slot from below (_slot_bound); resource selection prunes options
+with it. The start (_slot_start) is computed once per slot: selection takes
+an option's bound from it and, if it solves the option, hands the same
+start to _solve_slot, which computes a start itself only when given none.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ _SPLIT = 134217729.0
 # log1p(x)/x - 1 = sum over n >= 1 of (-x)**n/(n+1), in Horner order: for x < 0.05
 # twelve terms reach 2**-53 relative
 _LOG1P_SERIES = tuple((-1.0) ** n / (n + 1) for n in range(12, 0, -1))
-_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+_FLOAT_MIN = sys.float_info.min
+_LOG_FLOAT_MIN = math.log(_FLOAT_MIN)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -108,9 +112,10 @@ def _first(protocol: Protocol, gains: LinkGains) -> float:
 
 def _bound(protocol: Protocol, h_first: float, h23: float, k: float) -> float:
     """feasibility_bound on raw floats, with h_first = h13 for NCP and h12 for CP."""
-    if protocol is Protocol.NCP:
-        return min(h_first, h23)
-    return min(h_first, h23 * k / (k + 1.0))
+    # the smaller as min() takes it: the first unless the second is strictly less,
+    # without a builtin call on every screen
+    h_pair = h23 if protocol is Protocol.NCP else h23 * k / (k + 1.0)
+    return h_pair if h_pair < h_first else h_first
 
 
 def _shortfall(protocol: Protocol, h_first: float, h23: float, eps: float, k: float,
@@ -411,12 +416,25 @@ def _slot_start(h: float, eps_user: float,
                 target: float) -> tuple[float, float, float, float, float, int]:
     """Newton's start for a slot whose target lies below its chord: (x0, r, a, c, c_lo, e).
 
-    The chord is h*eps_user = c * 2**e with c in [1/4, 1), and r = target/chord.
-    For r <= 1/2 Newton runs in u = r*x, x0 = L + ln(L+1) + 1 and a = L = ln(1/r);
-    c_lo is 0 there, and only x0, r and a are read. Otherwise it runs in x,
-    x0 = 3q/r and a = q = 1 - r, and the chord is (c + c_lo) * 2**e exactly.
+    The chord is h*eps_user = c * 2**e, and r = target/chord. For r <= 1/2
+    Newton runs in u = r*x, x0 = L + ln(L+1) + 1 and a = L = ln(1/r); c_lo is 0
+    there, and only x0, r and a are read. Otherwise it runs in x, x0 = 3q/r and
+    a = q = 1 - r, with c in [1/4, 1) and the chord (c + c_lo) * 2**e exactly.
     Either start lies right of the root.
+
+    Where the rounded chord h*eps_user is finite and above sys.float_info.min
+    and r = target/chord lies in (_R_LOG, 1/2], r is that plain quotient and the
+    start is (x0, r, L, chord, 0.0, 0). It is the double the scaled path below
+    computes: a normal product rounds to c * 2**e exactly, target * 2**-e is
+    exact since it stays normal above _R_LOG * c, and the two divisions round
+    the same real number to a normal double.
     """
+    chord = h * eps_user
+    if _FLOAT_MIN < chord < math.inf:
+        r = target / chord
+        if _R_LOG < r <= 0.5:
+            log_inv_r = -math.log(r)
+            return log_inv_r + math.log(log_inv_r + 1.0) + 1.0, r, log_inv_r, chord, 0.0, 0
     # the scaled product neither under- nor overflows, and target scaled alike
     # stays below 1
     m_h, e_h = math.frexp(h)

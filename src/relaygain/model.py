@@ -141,10 +141,20 @@ class Flow(_Flow):
         for name, value in (("source", source), ("destination", destination)):
             if not (isinstance(value, str) and value.isprintable()):
                 raise ValidationError(f"flow {name} must be a printable string, got {value!r}")
+        try:
+            candidates = tuple(candidates)
+        except TypeError:
+            raise ValidationError("flow candidates must be a sequence of RelayCandidate, "
+                                  f"got {candidates!r}") from None
+        # a bare RelayCandidate would otherwise become its own three fields
+        for i, cand in enumerate(candidates):
+            if not isinstance(cand, RelayCandidate):
+                raise ValidationError(f"flow candidates[{i}] must be a RelayCandidate, "
+                                      f"got {cand!r}")
         return tuple.__new__(cls, (
             source, destination, _check_positive("h_sd", h_sd),
             _check_positive("epsilon", epsilon), _check_positive("k", k),
-            None if rate is None else _check_positive("rate", rate), tuple(candidates)))
+            None if rate is None else _check_positive("rate", rate), candidates))
 
 
 class _Allocation(NamedTuple):

@@ -25,11 +25,14 @@ order until the next bound exceeds the best total, when no remaining option
 can win or tie. Each start is computed once (energy._slot_start) and serves
 both the bound and the solve: user 1's start, bound and slot once per
 first-hop gain, so once for all NCP pairs, and each partner's start once
-per option. The decision is the one solving every
-option gives. A slot error is the one the first failing option in
-candidate order raises; an option pruned by its bound is never solved, so
-its slot cannot fail the selection. The violations of NoFeasibleOptionError
-are formatted only when it is raised.
+per option. A screen is a few comparisons and products, and a start with
+its bound a few logarithms, under half the cost of a solve's Newton steps,
+so bounding every option and solving few of them costs less than solving
+them all. The decision is the one solving every option gives. A slot error
+is the one the first failing option in candidate order raises; an option
+pruned by its bound is never solved, so its slot cannot fail the
+selection. The violations of NoFeasibleOptionError are formatted only when
+it is raised.
 """
 
 from __future__ import annotations
@@ -87,11 +90,17 @@ def rate_energy_score(h_sd: float, cand: RelayCandidate, k: float) -> float:
 
 def _score(h_sd: float, cand: RelayCandidate, k: float) -> float:
     """rate_energy_score on values already validated."""
-    return min(cand.h_sr, cand.h_rd * k / (k + 1.0)) / h_sd
+    # the smaller as min() takes it: the first unless the second is strictly less
+    h_sr, h_pair = cand.h_sr, cand.h_rd * k / (k + 1.0)
+    return (h_pair if h_pair < h_sr else h_sr) / h_sd
 
 
-def _advisory(op: OperatingPoint, *gains: float) -> bool:
-    return op.epsilon * min(gains) > ADVISORY_THRESHOLD
+def _advisory(op: OperatingPoint, h_sd: float, h_sr: float = math.inf,
+              h_rd: float = math.inf) -> bool:
+    """Whether eps times the least of the gains given, taken as min() takes it,
+    exceeds ADVISORY_THRESHOLD."""
+    h = h_sr if h_sr < h_sd else h_sd
+    return op.epsilon * (h_rd if h_rd < h else h) > ADVISORY_THRESHOLD
 
 
 def select_relay_rate(h_sd: float, candidates: list[RelayCandidate] | tuple[RelayCandidate, ...],

@@ -599,3 +599,146 @@ class TestSlotBound:
         bound = energy._slot_bound(h, eps_user, target)
         assert 0.0 < bound <= energy._solve_slot(h, eps_user, target)
         assert bound <= slot(h, eps_user, target)
+
+
+def scaled_start(h, eps_user, target):
+    """(x0, r, a) of _slot_start with r taken from the chord scaled into [1/4, 1) by
+    frexp and the target by ldexp, whatever the chord."""
+    m_h, e_h = math.frexp(h)
+    m_eps, e_eps = math.frexp(eps_user)
+    c, e = m_h * m_eps, e_h + e_eps
+    t_scaled = math.ldexp(target, -e) if c < math.inf else 0.0
+    r = t_scaled / c
+    if r > 0.5:
+        c, c_lo = energy._two_product(m_h, m_eps)
+        q = ((c - t_scaled) + c_lo) / c
+        return 3.0 * q / r, r, q
+    if r > energy._R_LOG:
+        a = -math.log(r)
+    elif target > 0.0:
+        a = math.log(h) + math.log(eps_user) - math.log(target)
+    else:
+        a = math.inf
+    return a + math.log(a + 1.0) + 1.0, r, a
+
+
+def target_at(chord, r):
+    """A target within four ulps of r*chord whose quotient by chord rounds to r, or None."""
+    target = r * chord
+    for toward in (0.0, math.inf):
+        t = target
+        for _ in range(4):
+            if t / chord == r:
+                return t
+            t = math.nextafter(t, toward)
+    return None
+
+
+_MIN, _MAX = sys.float_info.min, sys.float_info.max
+_R_LOG = energy._R_LOG
+
+
+def start_edges():
+    """(h, eps_user, target) on every edge of _slot_start's normal-range quotient."""
+    # chords one ulp either side of the smallest normal double, and on it; the last
+    # product lies half a subnormal ulp below it and rounds onto it
+    for h, eps_user in ((1.0, math.nextafter(_MIN, 0.0)), (1.0, _MIN), (1.0 - 2.0 ** -53, _MIN),
+                        (1.0, math.nextafter(_MIN, 1.0)), (2.0 ** -600, _MIN * 2.0 ** 600),
+                        (2.0 ** -600, math.nextafter(_MIN * 2.0 ** 600, 1.0)),
+                        (0.75, math.nextafter(_MIN / 0.75, 1.0))):
+        for r in (0.25, 0.5, 1e-3, 0.9):
+            yield h, eps_user, r * (h * eps_user)
+    # chords at the top of the float range, and inf from an overflowing k*eps or product
+    for h, eps_user in ((1.0, _MAX), (1.0, math.nextafter(_MAX, 0.0)), (2.0, _MAX / 2.0),
+                        (0.5, _MAX), (1.0, 1e10 * 1e299), (1e200, 1e200)):
+        for target in (0.3 * (h * eps_user), 1e300, 1.0, 1e-300, 5e-324):
+            if target < math.inf:
+                yield h, eps_user, target
+    # subnormal targets, on both sides of _R_LOG
+    for h, eps_user in ((1.0, 1e-300), (3.0, 1e-299), (1.0, 1e-5), (1.0, 1.0)):
+        for target in (5e-324, 1e-310, math.nextafter(_MIN, 0.0)):
+            yield h, eps_user, target
+    # r one ulp either side of _R_LOG and of 1/2, on power-of-two and other chords
+    for h, eps_user in ((1.0, 1.0), (2.0 ** -500, 2.0 ** 300), (1.5, 2.0), (0.7, 1e-290),
+                        (3.1, 1e250), (1e-150, 1e-150)):
+        chord = h * eps_user
+        for edge in (_R_LOG, 0.5):
+            for r in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+                target = target_at(chord, r)
+                if target is not None:
+                    yield h, eps_user, target
+
+
+class TestNormalRangeQuotient:
+    """_slot_start takes r = target/chord from the unscaled chord where that chord is
+    normal and r lies in (_R_LOG, 1/2]: the same (x0, r, a) as the scaled quotient."""
+
+    def check(self, h, eps_user, target):
+        """Assert the start equals the scaled one and bounds the slot; return whether
+        the unscaled quotient was taken."""
+        start = energy._slot_start(h, eps_user, target)
+        assert start[:3] == scaled_start(h, eps_user, target), (h, eps_user, target)
+        chord = h * eps_user
+        quotient = _MIN < chord < math.inf and _R_LOG < target / chord <= 0.5
+        # the quotient's start carries the chord itself with exponent 0, the scaled
+        # one c in [1/4, 1): the two read alike only for a chord in [1/4, 1)
+        if not 0.25 <= chord < 1.0:
+            assert (start[3:] == (chord, 0.0, 0)) is quotient, (h, eps_user, target)
+        try:
+            beta = energy._solve_slot(h, eps_user, target)
+        except ValidationError as exc:
+            assert "float range" in str(exc)
+            return quotient
+        assert energy._slot_bound(h, eps_user, target, start=start) <= beta
+        return quotient
+
+    def test_seeded_draws_match_the_scaled_quotient(self):
+        taken = sum(self.check(*draw) for draw in slot_draws(3000, seed=41))
+        # every draw with r <= 1/2 (r >= 1e-9) and a normal chord takes the quotient
+        assert taken > 1000
+
+    def test_edges_match_the_scaled_quotient(self):
+        edges = [draw for draw in start_edges() if 0.0 < draw[2] < draw[0] * draw[1]]
+        assert len(edges) > 80
+        taken = [self.check(*draw) for draw in edges]
+        assert any(taken) and not all(taken)
+
+    @pytest.mark.parametrize("h, eps_user, target, quotient", [
+        (1.0, _MIN, 0.25 * _MIN, False),                                  # chord on the edge
+        (1.0, math.nextafter(_MIN, 1.0), 0.25 * _MIN, True),              # one ulp above it
+        # the product rounds up onto the edge, where target/chord would read 0.25 and the
+        # scaled quotient reads one ulp more
+        (1.0 - 2.0 ** -53, _MIN, 0.25 * _MIN, False),
+        (1.0, 1.0, _R_LOG, False),                                        # r = _R_LOG
+        (1.0, 1.0, math.nextafter(_R_LOG, 1.0), True),
+        (1.0, 1.0, 0.5, True),                                            # r = 1/2
+        (1.0, 1.0, math.nextafter(0.5, 1.0), False),
+        (1.0, _MAX, 0.5 * _MAX, True),
+        (1e200, 1e200, 1e300, False),                                     # h*eps_user = inf
+        (1.0, 1e10 * 1e299, 1.0, False),                                  # k*eps = inf
+    ])
+    def test_condition_edges(self, h, eps_user, target, quotient):
+        assert self.check(h, eps_user, target) is quotient
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_bound_takes_the_smaller_as_min_does(protocol):
+    def reference(h_first, h23, k):
+        return min(h_first, h23 if protocol is Protocol.NCP else h23 * k / (k + 1.0))
+
+    rng = random.Random(43)
+    for _ in range(3000):
+        h_first, h23, k = (log_uniform(rng, -30.0, 30.0) for _ in range(3))
+        assert energy._bound(protocol, h_first, h23, k) == reference(h_first, h23, k)
+    # on an exact tie min() returns its first argument, the first-hop gain itself
+    ties = 0
+    for h_first, h23, k in ((0.7, 0.7, 1.0), (0.35, 0.7, 1.0), (1.5, 4.5, 0.5), (3.0, 4.0, 3.0)):
+        pair = h23 if protocol is Protocol.NCP else h23 * k / (k + 1.0)
+        if pair == h_first:
+            ties += 1
+            assert energy._bound(protocol, h_first, h23, k) is h_first
+        assert energy._bound(protocol, h_first, h23, k) == reference(h_first, h23, k)
+    assert ties
+    # NaN (never a validated gain) tells min()'s rule from its mirror image
+    assert math.isnan(energy._bound(protocol, math.nan, 1.0, 1.0))
+    assert energy._bound(protocol, 1.0, math.nan, 1.0) == 1.0

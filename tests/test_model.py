@@ -64,6 +64,30 @@ class TestNames:
             Flow(source, destination, 1.0, 1.0, 1.0)
         assert str(err.value) == f"flow {name} must be a printable string, got {bad!r}"
 
+    @pytest.mark.parametrize("candidates, index, bad", [
+        ([("a", 1.0, 2.0)], 0, ("a", 1.0, 2.0)),
+        ((RelayCandidate("a", 1.0, 2.0), ("b", 1.0, 2.0)), 1, ("b", 1.0, 2.0)),
+        # a bare candidate would become its own three fields
+        (RelayCandidate("a", 1.0, 2.0), 0, "a"),
+    ])
+    def test_flow_candidates_must_be_relay_candidates(self, candidates, index, bad):
+        with pytest.raises(ValidationError) as err:
+            Flow("s", "d", 1.0, 0.1, 1.0, rate=0.01, candidates=candidates)
+        assert str(err.value) == (
+            f"flow candidates[{index}] must be a RelayCandidate, got {bad!r}")
+
+    @pytest.mark.parametrize("candidates", [None, 3])
+    def test_flow_candidates_must_be_iterable(self, candidates):
+        with pytest.raises(ValidationError) as err:
+            Flow("s", "d", 1.0, 0.1, 1.0, candidates=candidates)
+        assert str(err.value) == (
+            f"flow candidates must be a sequence of RelayCandidate, got {candidates!r}")
+
+    def test_flow_keeps_its_candidates(self):
+        cands = [RelayCandidate("a", 1.0, 2.0), RelayCandidate("b", 3.0, 4.0)]
+        assert Flow("s", "d", 1.0, 0.1, 1.0, candidates=cands).candidates == tuple(cands)
+        assert Flow("s", "d", 1.0, 0.1, 1.0, candidates=iter(cands)).candidates == tuple(cands)
+
 
 class _Float(float):
     pass

@@ -37,6 +37,54 @@ class TestScore:
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
+def smaller_draws(seed, count):
+    """(h_sd, candidate, k): gains and k log-uniform in e^±30, then exact ties of
+    h_sr with h_rd*k/(k + 1) and of h_sd with either gain, then NaN gains (unvalidated,
+    through _replace), which tell min()'s rule from its mirror image where a tie cannot."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        h_sd, h_sr, h_rd, k = (math.exp(rng.uniform(-30.0, 30.0)) for _ in range(4))
+        yield h_sd, RelayCandidate("a", h_sr, h_rd), k
+    for h_sr, h_rd, k in ((0.7, 1.4, 1.0), (3.0, 6.0, 1.0), (1.0, 4.0, 1.0 / 3.0),
+                          (2.0, 4.0, 1.0)):
+        assert h_sr == h_rd * k / (k + 1.0)
+        yield 1.0, RelayCandidate("a", h_sr, h_rd), k
+        yield h_sr, RelayCandidate("a", h_sr, h_rd), k
+        yield h_rd, RelayCandidate("a", h_sr, h_rd), k
+    for h_sr, h_rd in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        yield 1.0, RelayCandidate("a", 1.0, 1.0)._replace(h_sr=h_sr, h_rd=h_rd), 1.0
+        yield math.nan, RelayCandidate("a", 2.0, 3.0)._replace(h_sr=h_sr, h_rd=h_rd), 1.0
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestSmallerAsMin:
+    """_score and _advisory take the smaller gain without calling min(), by min()'s
+    own rule: the first unless a later one is strictly less."""
+
+    def test_score(self):
+        for h_sd, cand, k in smaller_draws(47, 3000):
+            want = min(cand.h_sr, cand.h_rd * k / (k + 1.0)) / h_sd
+            assert same(selection._score(h_sd, cand, k), want), (h_sd, cand, k)
+
+    def test_advisory(self):
+        for h_sd, cand, k in smaller_draws(53, 3000):
+            # eps at the threshold over each gain, and twice that
+            for h in (h_sd, cand.h_sr, cand.h_rd):
+                for eps in (selection.ADVISORY_THRESHOLD / h,
+                            2.0 * selection.ADVISORY_THRESHOLD / h):
+                    if not 0.0 < eps < math.inf:
+                        continue
+                    op = OperatingPoint(eps, k)
+                    got = selection._advisory(op, h_sd, cand.h_sr, cand.h_rd)
+                    assert got is (eps * min(h_sd, cand.h_sr, cand.h_rd)
+                                   > selection.ADVISORY_THRESHOLD), (h_sd, cand, eps)
+                    assert selection._advisory(op, h_sd) is (
+                        eps * h_sd > selection.ADVISORY_THRESHOLD)
+
+
 class TestSelectRelayRate:
     def test_strong_candidate_selected(self):
         op = OperatingPoint(1e-4, 1.0)
